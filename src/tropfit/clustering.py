@@ -28,7 +28,7 @@ import numpy as np
 from .puiseux import (
     PolyMinimum,
     PuiseuxPoly,
-    ZERO_EXPONENT_TOL,
+    _split_by_sign,
     min_poly,
     pairwise_minimum_value,
     poly_sum,
@@ -130,25 +130,30 @@ class ExponentResult:
     partition: Partition
 
 
+def score_blocks(blocks: Iterable[tuple[Iterable[int], PuiseuxPoly]]) -> ExponentResult:
+    """Score (indices, merged polynomial) blocks with ``min_poly`` and
+    assemble the search output, blocks ordered by least index."""
+    scored = [
+        PartitionBlock(frozenset(indices), poly, min_poly(poly))
+        for indices, poly in sorted(blocks, key=lambda block: min(block[0]))
+    ]
+    minima = tuple(b.minimum.mu for b in scored)
+    exponents = tuple(b.minimum.representative() for b in scored)
+    return ExponentResult(exponents, minima, max(minima), Partition(tuple(scored)))
+
+
 class _Cluster:
-    """Mutable working state: index set, merged monomials, sign-split arrays."""
+    """Mutable working state: index set, merged polynomial, sign-split arrays."""
 
-    __slots__ = ("indices", "least", "mons", "neg_p", "neg_t", "pos_p", "pos_t", "zer_t")
+    __slots__ = ("indices", "least", "poly", "neg_p", "neg_t", "pos_p", "pos_t", "zer_t")
 
-    def __init__(self, indices: frozenset[int], mons: dict[float, float]):
+    def __init__(self, indices: frozenset[int], poly: PuiseuxPoly):
         self.indices = indices
         self.least = min(indices)
-        self.mons = mons
-        ps = np.fromiter(mons.keys(), dtype=float, count=len(mons))
-        ts = np.fromiter(mons.values(), dtype=float, count=len(mons))
-        neg = ps < -ZERO_EXPONENT_TOL
-        pos = ps > ZERO_EXPONENT_TOL
-        zer = ~(neg | pos)
-        self.neg_p = ps[neg]
-        self.neg_t = ts[neg]
-        self.pos_p = ps[pos]
-        self.pos_t = ts[pos]
-        self.zer_t = ts[zer]
+        self.poly = poly
+        self.neg_p, self.neg_t, self.pos_p, self.pos_t, self.zer_t = _split_by_sign(
+            np.array(poly.exponents), np.array(poly.coefficients)
+        )
 
 
 def _pair_score(a: _Cluster, b: _Cluster) -> float:
@@ -161,14 +166,6 @@ def _pair_score(a: _Cluster, b: _Cluster) -> float:
         np.concatenate([a.pos_t, b.pos_t]),
         np.concatenate([a.zer_t, b.zer_t]),
     )
-
-
-def _merge_mons(a: dict[float, float], b: dict[float, float]) -> dict[float, float]:
-    out = dict(a)
-    for p, t in b.items():
-        if p not in out or t > out[p]:
-            out[p] = t
-    return out
 
 
 def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
@@ -186,7 +183,7 @@ def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
 
     clusters: dict[int, _Cluster] = {}
     for i, poly in enumerate(polys):
-        clusters[i] = _Cluster(frozenset([i]), dict(poly.monomials))
+        clusters[i] = _Cluster(frozenset([i]), poly)
     serial = m
 
     heap: list[tuple[int, tuple[int, int], int, int]] = []
@@ -214,7 +211,7 @@ def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
                 break
         ca = clusters.pop(sa)
         cb = clusters.pop(sb)
-        merged = _Cluster(ca.indices | cb.indices, _merge_mons(ca.mons, cb.mons))
+        merged = _Cluster(ca.indices | cb.indices, poly_sum((ca.poly, cb.poly)))
         snew = serial
         serial += 1
         clusters[snew] = merged
@@ -222,11 +219,4 @@ def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
             if sid != snew:
                 push(sid, snew)
 
-    blocks = []
-    for cluster in sorted(clusters.values(), key=lambda c: c.least):
-        poly = PuiseuxPoly(cluster.mons.items())
-        blocks.append(PartitionBlock(cluster.indices, poly, min_poly(poly)))
-    partition = Partition(tuple(blocks))
-    minima = tuple(b.minimum.mu for b in blocks)
-    exponents = tuple(b.minimum.representative() for b in blocks)
-    return ExponentResult(exponents, minima, max(minima), partition)
+    return score_blocks((c.indices, c.poly) for c in clusters.values())

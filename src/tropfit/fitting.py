@@ -22,20 +22,20 @@ iteration cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .clustering import (
     ExponentResult,
-    Partition,
-    PartitionBlock,
     SampleSet,
     agglomerate,
     error_polynomials,
-    merged_minimum,
+    score_blocks,
 )
-from .puiseux import PuiseuxPoly, PuiseuxRational, min_poly, poly_sum
+from .linalg import residuate
+from .puiseux import PuiseuxPoly, PuiseuxRational, poly_sum
 
 #: Quantization for the repeated-snapshot test in fit_rational.
 SNAPSHOT_QUANTUM = 1e-9
@@ -95,21 +95,25 @@ class RationalFit:
     denominator_coefficients: tuple[float, ...]
 
 
-def _coefficients(samples: SampleSet, exponents: Sequence[float], delta: float) -> tuple[float, ...]:
-    xs, ys = samples.xs, samples.ys
-    return tuple(
-        delta / 2 + min(y - p * x for x, y in zip(xs, ys)) for p in exponents
-    )
+def _poly_fit(samples: SampleSet, result: ExponentResult) -> PolyFit:
+    """Recover the coefficients for the searched exponents by residuation.
+
+    The search's delta_star is kept rather than the residuation's delta: the
+    two agree only to rounding, and a last-bit change in delta_star would
+    move the alternation in fit_rational.
+    """
+    vandermonde = np.multiply.outer(samples.xs, result.exponents)
+    _, xhat = residuate(vandermonde, np.array(samples.ys))
+    coeffs = tuple((result.delta_star / 2 + xhat).tolist())
+    poly = PuiseuxPoly(zip(result.exponents, coeffs))
+    return PolyFit(poly, result.delta_star, result, coeffs)
 
 
 def fit_polynomial(samples: SampleSet, n: int) -> PolyFit:
     """Fit an n-monomial max-plus polynomial minimizing the Chebyshev error."""
     if not 1 <= n <= len(samples):
         raise ValueError(f"monomial count must be in 1..{len(samples)}, got {n}")
-    result = agglomerate(error_polynomials(samples), n)
-    coeffs = _coefficients(samples, result.exponents, result.delta_star)
-    poly = PuiseuxPoly(zip(result.exponents, coeffs))
-    return PolyFit(poly, result.delta_star, result, coeffs)
+    return _poly_fit(samples, agglomerate(error_polynomials(samples), n))
 
 
 def _set_partitions(m: int, n: int) -> Iterator[list[list[int]]]:
@@ -153,24 +157,12 @@ def brute_force_poly_fit(samples: SampleSet, n: int) -> PolyFit:
     if not 1 <= n <= m:
         raise ValueError(f"monomial count must be in 1..{m}, got {n}")
     polys = error_polynomials(samples)
-    best_delta = math.inf
-    best: list[list[int]] | None = None
+    best: ExponentResult | None = None
     for partition in _set_partitions(m, n):
-        delta = max(merged_minimum(block, polys).mu for block in partition)
-        if delta < best_delta:
-            best_delta = delta
-            best = partition
-    assert best is not None
-    blocks = []
-    for indices in sorted(best, key=min):
-        poly = poly_sum(polys[i] for i in indices)
-        blocks.append(PartitionBlock(frozenset(indices), poly, min_poly(poly)))
-    partition_rec = Partition(tuple(blocks))
-    minima = tuple(b.minimum.mu for b in blocks)
-    exponents = tuple(b.minimum.representative() for b in blocks)
-    result = ExponentResult(exponents, minima, max(minima), partition_rec)
-    coeffs = _coefficients(samples, exponents, result.delta_star)
-    return PolyFit(PuiseuxPoly(zip(exponents, coeffs)), result.delta_star, result, coeffs)
+        result = score_blocks((b, poly_sum(polys[i] for i in b)) for b in partition)
+        if best is None or result.delta_star < best.delta_star:
+            best = result
+    return _poly_fit(samples, best)
 
 
 def _quantize(vectors: Sequence[Sequence[float]], parity: int) -> tuple:

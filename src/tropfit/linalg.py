@@ -7,8 +7,9 @@ The one-sided solver rests on residuation: for regular A and b the vector
     delta = (A (b- A)-)- b
 
 is the squared best-approximation error of A x = b, and sqrt(delta) (b- A)-
-attains it.  The two-sided equation A x = B y is handled by alternating
-one-sided solves until the error hits ONE or an iterate repeats.
+attains it.  ``residuate`` computes both for fitting and for the solvers.
+The two-sided equation A x = B y is handled by alternating one-sided solves
+until the error hits ONE or an iterate repeats.
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .maxplus import (
     ZERO,
     ONE,
     MaxPlusScalar,
     ensure_scalar,
-    inv,
     oplus,
     otimes,
-    tpow,
+    to_float,
 )
 
 #: Quantization step for the iterate-repetition test in alternating_solve.
@@ -202,28 +204,21 @@ class ApproxSolution:
     exact: bool
 
 
-def _principal_solution(a: TropMatrix, b: TropVector) -> list[float]:
-    """(b- A)-, the greatest solution of A x <= b; entries are finite for
-    column-regular A and regular b."""
-    m, n = a.shape
-    out = []
-    for j in range(n):
-        acc: MaxPlusScalar = ZERO
-        for i in range(m):
-            acc = oplus(acc, otimes(inv(b[i]), a[i, j]))
-        out.append(inv(acc))
-    return out
+def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Residuation of A x = b for regular A (ZERO entries as -inf) and finite b.
+
+    Returns the squared error delta = max_i (b_i - max_j (a_ij + xhat_j)) and
+    xhat = (b- A)-, the greatest x with A x <= b, whose entries are
+    xhat_j = -max_i (a_ij - b_i).  The best approximate solution is
+    delta/2 + xhat.
+    """
+    xhat = -np.max(a - b[:, None], axis=0)
+    delta = float(np.max(b - np.max(a + xhat, axis=1)))
+    return delta, xhat
 
 
-def _one_sided(a: TropMatrix, b: TropVector) -> tuple[float, TropVector]:
-    """Squared error and best approximate solution of A x = b (A, b regular)."""
-    xhat = _principal_solution(a, b)
-    ax = matvec(a, TropVector(xhat))
-    delta: MaxPlusScalar = ZERO
-    for i in range(len(b)):
-        delta = oplus(delta, otimes(inv(ax[i]), b[i]))
-    half = tpow(delta, 0.5)
-    return delta, TropVector(otimes(half, xj) for xj in xhat)
+def _dense(a: TropMatrix) -> np.ndarray:
+    return np.array([[to_float(e) for e in row] for row in a.rows])
 
 
 def best_approx_solve(a: TropMatrix, b: TropVector) -> ApproxSolution:
@@ -240,8 +235,9 @@ def best_approx_solve(a: TropMatrix, b: TropVector) -> ApproxSolution:
         raise ValueError("matrix must be regular (no zero row or column)")
     if not b.is_regular():
         raise ValueError("right-hand side must be regular")
-    delta, x = _one_sided(a, b)
-    return ApproxSolution(delta, x, exact=abs(delta) <= EXACT_TOL)
+    delta, xhat = residuate(_dense(a), np.array(b.entries))
+    solution = TropVector((delta / 2 + xhat).tolist())
+    return ApproxSolution(delta, solution, exact=abs(delta) <= EXACT_TOL)
 
 
 @dataclass(frozen=True)
@@ -254,8 +250,8 @@ class TwoSidedSolution:
     reason: str  # "exact" | "cycle" | "iteration-cap"
 
 
-def _quantize(v: TropVector) -> tuple[int, ...]:
-    return tuple(round(e / CYCLE_QUANTUM) for e in v)
+def _quantize(v: np.ndarray) -> tuple[int, ...]:
+    return tuple(round(e / CYCLE_QUANTUM) for e in v.tolist())
 
 
 def alternating_solve(
@@ -286,26 +282,23 @@ def alternating_solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    x = x0
-    seen_x = {_quantize(x)}
-    seen_y: set[tuple[int, ...]] = set()
-    delta: MaxPlusScalar = ZERO
-    y = TropVector([ONE] * b.shape[1])
-    for _ in range(max_iter):
-        delta, y = _one_sided(b, matvec(a, x))
+    am, bm = _dense(a), _dense(b)
+    x = np.array(x0.entries)
+    seen = {(1, _quantize(x))}
+    reason = "iteration-cap"
+    for k in range(2 * max_iter):
+        if k % 2 == 0:
+            delta, yhat = residuate(bm, np.max(am + x, axis=1))
+            y = new = delta / 2 + yhat
+        else:
+            delta, xhat = residuate(am, np.max(bm + y, axis=1))
+            x = new = delta / 2 + xhat
         if abs(delta) <= EXACT_TOL:
-            return TwoSidedSolution(delta, x, y, "exact")
-        key = _quantize(y)
-        if key in seen_y:
-            return TwoSidedSolution(delta, x, y, "cycle")
-        seen_y.add(key)
-
-        delta, x_new = _one_sided(a, matvec(b, y))
-        if abs(delta) <= EXACT_TOL:
-            return TwoSidedSolution(delta, x_new, y, "exact")
-        key = _quantize(x_new)
-        if key in seen_x:
-            return TwoSidedSolution(delta, x_new, y, "cycle")
-        seen_x.add(key)
-        x = x_new
-    return TwoSidedSolution(delta, x, y, "iteration-cap")
+            reason = "exact"
+            break
+        key = (k % 2, _quantize(new))
+        if key in seen:
+            reason = "cycle"
+            break
+        seen.add(key)
+    return TwoSidedSolution(delta, TropVector(x.tolist()), TropVector(y.tolist()), reason)

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .clustering import SampleSet
 from .fitting import PolyFit, RationalFit
-from .puiseux import PuiseuxPoly, PuiseuxRational, eval_poly, eval_rational
+from .puiseux import PuiseuxPoly, eval_poly
 
 MODE_MAXPLUS = "maxplus"
 MODE_MAXTIMES = "maxtimes"
@@ -145,15 +145,20 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitReport":
-        den = data.get("denominator")
+        if data["mode"] not in (MODE_MAXPLUS, MODE_MAXTIMES):
+            raise ValueError(f"unknown mode {data['mode']!r}")
+        num_p, num_t = _monomial_lists(data, "numerator")
+        den_p = den_t = None
+        if data.get("denominator"):
+            den_p, den_t = _monomial_lists(data, "denominator")
         return cls(
             mode=data["mode"],
             n=int(data["n"]),
             l=int(data["l"]) if "l" in data else None,
-            numerator_exponents=tuple(data["numerator"]["exponents"]),
-            numerator_coefficients=tuple(data["numerator"]["coefficients"]),
-            denominator_exponents=tuple(den["exponents"]) if den else None,
-            denominator_coefficients=tuple(den["coefficients"]) if den else None,
+            numerator_exponents=num_p,
+            numerator_coefficients=num_t,
+            denominator_exponents=den_p,
+            denominator_coefficients=den_t,
             delta_star=float(data["delta_star"]),
             chebyshev_error=float(data["chebyshev_error"]),
             trace=tuple((int(k), float(d)) for k, d in data["trace"]),
@@ -163,6 +168,16 @@ class FitReport:
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
         return cls.from_dict(json.loads(text))
+
+
+def _monomial_lists(data: dict, part: str) -> tuple[tuple, tuple]:
+    exponents = tuple(data[part]["exponents"])
+    coefficients = tuple(data[part]["coefficients"])
+    if not exponents or len(exponents) != len(coefficients):
+        raise ValueError(
+            f"{part}: exponents and coefficients must be nonempty and of equal length"
+        )
+    return exponents, coefficients
 
 
 def _map_mode(value: float, mode: str) -> float:
@@ -203,41 +218,31 @@ def report_from_rational_fit(fit: RationalFit, mode: str, n: int, l: int) -> Fit
 
 
 def evaluator(report: FitReport) -> Callable[[float], float]:
-    """Turn a report into the fitted function on its native domain."""
-    if report.mode == MODE_MAXTIMES:
-        num = PuiseuxPoly(
-            (p, math.log(t))
-            for p, t in zip(report.numerator_exponents, report.numerator_coefficients)
-        )
-        den = (
-            PuiseuxPoly(
-                (p, math.log(t))
-                for p, t in zip(
-                    report.denominator_exponents, report.denominator_coefficients
-                )
-            )
-            if report.is_rational
-            else None
-        )
+    """Turn a report into the fitted function on its native domain.
 
-        def apply_maxtimes(x: float) -> float:
+    Max-times reports are evaluated in the log domain: coefficients and the
+    argument are logged, and the max-plus value is mapped back with exp.
+    """
+    maxtimes = report.mode == MODE_MAXTIMES
+
+    def poly(exponents, coefficients) -> PuiseuxPoly:
+        if maxtimes:
+            coefficients = map(math.log, coefficients)
+        return PuiseuxPoly(zip(exponents, coefficients))
+
+    num = poly(report.numerator_exponents, report.numerator_coefficients)
+    den = None
+    if report.is_rational:
+        den = poly(report.denominator_exponents, report.denominator_coefficients)
+
+    def apply(x: float) -> float:
+        if maxtimes:
             if x <= 0:
                 raise ValueError("max-times arguments must be positive")
-            lx = math.log(x)
-            value = eval_poly(num, lx)
-            if den is not None:
-                value -= eval_poly(den, lx)
-            return math.exp(value)
+            x = math.log(x)
+        value = eval_poly(num, x)
+        if den is not None:
+            value -= eval_poly(den, x)
+        return _map_mode(value, report.mode)
 
-        return apply_maxtimes
-
-    num = PuiseuxPoly(zip(report.numerator_exponents, report.numerator_coefficients))
-    if report.is_rational:
-        rational = PuiseuxRational(
-            num,
-            PuiseuxPoly(
-                zip(report.denominator_exponents, report.denominator_coefficients)
-            ),
-        )
-        return lambda x: eval_rational(rational, x)
-    return lambda x: eval_poly(num, x)
+    return apply

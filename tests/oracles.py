@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from tropfit import SampleSet, TropMatrix, TropVector
+from tropfit import ZERO, SampleSet, TropMatrix, TropVector
 
 
 def grid_min(monomials, lo=-20.0, hi=20.0, step=1e-3):
@@ -40,6 +40,19 @@ def random_finite_vector(rng, n, low=-10.0, high=10.0):
 
 def random_finite_matrix(rng, m, n, low=-10.0, high=10.0):
     return TropMatrix(rng.uniform(low, high, size=(m, n)).tolist())
+
+
+def random_regular_matrix(rng, m, n, low=-10.0, high=10.0, zero_frac=0.4):
+    """Matrix with about ``zero_frac`` of its entries ZERO, redrawn until no
+    row or column is all ZERO."""
+    while True:
+        values = rng.uniform(low, high, size=(m, n)).tolist()
+        zeros = (rng.random((m, n)) < zero_frac).tolist()
+        a = TropMatrix(
+            [[ZERO if z else v for v, z in zip(row, zrow)] for row, zrow in zip(values, zeros)]
+        )
+        if a.is_regular():
+            return a
 
 
 def random_sampleset(rng, m, spread=5.0):

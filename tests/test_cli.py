@@ -271,3 +271,65 @@ def test_pipeline_outputs_stay_finite(capsys, fixture_csv, tmp_path):
     for line in sampled.strip().splitlines()[1:]:
         value = float(line.split(",")[1])
         assert math.isfinite(value)
+
+
+def _report_commands(path):
+    return (
+        ["eval", str(path), "0.5"],
+        ["sample", str(path), "--from", "0", "--to", "1", "--steps", "3"],
+    )
+
+
+def test_eval_and_sample_reject_malformed_monomial_lists(capsys, tmp_path):
+    three_exponents = reference_n2l2_report().to_dict()
+    three_exponents["numerator"]["exponents"].append(1.0)
+    empty_denominator = reference_n2l2_report().to_dict()
+    empty_denominator["denominator"] = {"exponents": [], "coefficients": []}
+    for data, part in ((three_exponents, "numerator"), (empty_denominator, "denominator")):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        for argv in _report_commands(path):
+            code, _, err = run(capsys, argv)
+            assert code == 2 and part in err
+
+
+def test_eval_and_sample_reject_unknown_mode(capsys, tmp_path):
+    data = reference_n2l2_report().to_dict()
+    data["mode"] = "maxtimez"
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    for argv in _report_commands(path):
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "maxtimez" in err
+
+
+def test_maxtimes_report_evaluates_as_exp_of_logged_fit(capsys, tmp_path):
+    """A max-times rational fit, sampled, equals exp of the max-plus fit of
+    the logged data evaluated at the logged arguments."""
+    rows = [(math.exp(x), math.exp(y)) for x, y in fixture_rows()]
+    times_csv, plus_csv = tmp_path / "times.csv", tmp_path / "plus.csv"
+    times_csv.write_text("".join(f"{u!r},{v!r}\n" for u, v in rows))
+    plus_csv.write_text("".join(f"{math.log(u)!r},{math.log(v)!r}\n" for u, v in rows))
+    reports = {}
+    for csv, mode in ((times_csv, "maxtimes"), (plus_csv, "maxplus")):
+        argv = ["fit", "rational", str(csv), "--n", "2", "--l", "2", "--max-iter", "20"]
+        code, out, _ = run(capsys, argv + ["--mode", mode])
+        assert code == 0
+        reports[mode] = tmp_path / f"{mode}.json"
+        reports[mode].write_text(out)
+
+    code, out, _ = run(
+        capsys, ["sample", str(reports["maxtimes"]), "--from", "1", "--to", "7", "--steps", "31"]
+    )
+    assert code == 0
+    sampled = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[1:]]
+    logged = [repr(math.log(t)) for t, _ in sampled]
+    code, out, _ = run(capsys, ["eval", str(reports["maxplus"]), *logged])
+    assert code == 0
+    plus_values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    assert [v for _, v in sampled] == pytest.approx(
+        [math.exp(v) for v in plus_values], rel=1e-9
+    )
+
+    code, _, err = run(capsys, ["eval", str(reports["maxtimes"]), "0"])
+    assert code == 2 and "positive" in err

@@ -56,15 +56,23 @@ def test_fit_polynomial_bounds():
 
 
 def test_fit_polynomial_residual_consistency(rng):
-    for _ in range(20):
-        m = int(rng.integers(2, 10))
-        n = int(rng.integers(1, m + 1))
-        samples = random_sampleset(rng, m)
-        fit = fit_polynomial(samples, n)
-        x = vandermonde(samples.xs, fit.exponent_result.exponents)
-        theta = TropVector(list(fit.coefficients))
-        achieved = distance(matvec(x, theta), TropVector(samples.ys))
-        assert achieved == pytest.approx(tpow(fit.delta_star, 0.5), abs=1e-9)
+    # (fitter, largest M, largest N); the oracle is limited to M <= 8, N <= 3
+    for fitter, max_m, max_n in ((fit_polynomial, 9, 9), (brute_force_poly_fit, 8, 3)):
+        for _ in range(20):
+            m = int(rng.integers(2, max_m + 1))
+            n = int(rng.integers(1, min(m, max_n) + 1))
+            samples = random_sampleset(rng, m)
+            fit = fitter(samples, n)
+            result = fit.exponent_result
+            assert fit.delta_star == result.delta_star == max(result.subset_minima)
+            sets = result.partition.index_sets()
+            assert len(sets) == n
+            assert sorted(i for s in sets for i in s) == list(range(m))
+            assert [s[0] for s in sets] == sorted(s[0] for s in sets)
+            x = vandermonde(samples.xs, result.exponents)
+            theta = TropVector(list(fit.coefficients))
+            achieved = distance(matvec(x, theta), TropVector(samples.ys))
+            assert achieved == pytest.approx(tpow(fit.delta_star, 0.5), abs=1e-9)
 
 
 def test_fit_polynomial_exact_on_generated_data(rng):

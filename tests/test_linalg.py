@@ -22,7 +22,16 @@ from tropfit import (
     tpow,
 )
 
-from oracles import chebyshev, random_finite_matrix, random_finite_vector
+from oracles import (
+    chebyshev,
+    random_finite_matrix,
+    random_finite_vector,
+    random_regular_matrix,
+)
+
+#: Matrix generators: all entries finite, and about 40 % ZERO entries, which
+#: reach the solvers' -inf path.
+MATRICES = (random_finite_matrix, random_regular_matrix)
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -141,30 +150,32 @@ def test_best_approx_requires_regularity():
 
 
 def test_best_approx_optimality_sampling(rng):
-    for _ in range(20):
-        m, n = rng.integers(1, 7), rng.integers(1, 7)
-        a = random_finite_matrix(rng, m, n)
-        b = random_finite_vector(rng, m)
-        sol = best_approx_solve(a, b)
-        target = distance(matvec(a, sol.solution), b)
-        assert target == pytest.approx(tpow(sol.delta, 0.5), abs=1e-9)
-        for _ in range(200):
-            x = random_finite_vector(rng, n)
-            assert distance(matvec(a, x), b) >= target - 1e-9
+    for make_matrix in MATRICES:
+        for _ in range(20):
+            m, n = rng.integers(1, 7), rng.integers(1, 7)
+            a = make_matrix(rng, m, n)
+            b = random_finite_vector(rng, m)
+            sol = best_approx_solve(a, b)
+            target = distance(matvec(a, sol.solution), b)
+            assert target == pytest.approx(tpow(sol.delta, 0.5), abs=1e-9)
+            for _ in range(200):
+                x = random_finite_vector(rng, n)
+                assert distance(matvec(a, x), b) >= target - 1e-9
 
 
 def test_best_approx_exactness(rng):
-    for _ in range(50):
-        m, n = rng.integers(1, 7), rng.integers(1, 7)
-        a = random_finite_matrix(rng, m, n)
-        x_true = random_finite_vector(rng, n)
-        b = matvec(a, x_true)
-        sol = best_approx_solve(a, b)
-        assert abs(sol.delta) <= 1e-9
-        assert sol.exact
-        assert distance(matvec(a, sol.solution), b) <= 1e-9
-        # maximal solution dominates any exact one
-        assert all(s >= t - 1e-12 for s, t in zip(sol.solution, x_true))
+    for make_matrix in MATRICES:
+        for _ in range(50):
+            m, n = rng.integers(1, 7), rng.integers(1, 7)
+            a = make_matrix(rng, m, n)
+            x_true = random_finite_vector(rng, n)
+            b = matvec(a, x_true)
+            sol = best_approx_solve(a, b)
+            assert abs(sol.delta) <= 1e-9
+            assert sol.exact
+            assert distance(matvec(a, sol.solution), b) <= 1e-9
+            # maximal solution dominates any exact one
+            assert all(s >= t - 1e-12 for s, t in zip(sol.solution, x_true))
 
 
 # --- two-sided solver ---------------------------------------------------------
@@ -204,16 +215,17 @@ def test_alternating_requires_regularity():
 
 
 def test_alternating_terminates_and_is_consistent(rng):
-    for _ in range(25):
-        m = int(rng.integers(1, 6))
-        n = int(rng.integers(1, 6))
-        l = int(rng.integers(1, 6))
-        a = random_finite_matrix(rng, m, n)
-        b = random_finite_matrix(rng, m, l)
-        res = alternating_solve(a, b)
-        assert res.reason in {"exact", "cycle", "iteration-cap"}
-        achieved = distance(matvec(a, res.x), matvec(b, res.y))
-        assert res.delta == pytest.approx(tpow(achieved, 2.0), abs=1e-9)
+    for make_matrix in MATRICES:
+        for _ in range(25):
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 6))
+            l = int(rng.integers(1, 6))
+            a = make_matrix(rng, m, n)
+            b = make_matrix(rng, m, l)
+            res = alternating_solve(a, b)
+            assert res.reason in {"exact", "cycle", "iteration-cap"}
+            achieved = distance(matvec(a, res.x), matvec(b, res.y))
+            assert res.delta == pytest.approx(tpow(achieved, 2.0), abs=1e-9)
 
 
 def test_alternating_default_start_is_unit_vector():
