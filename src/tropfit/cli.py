@@ -97,6 +97,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value!r}")
     if not args.start < args.stop:
         raise ValueError("--from must be less than --to")
     step = (args.stop - args.start) / (args.steps - 1)

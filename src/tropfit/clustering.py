@@ -14,6 +14,13 @@ from singletons, repeatedly merge the pair of groups whose merged polynomial
 has the least minimum, until N groups remain.  The greedy partition is a
 heuristic, not a guaranteed optimum; ``fitting.brute_force_poly_fit`` bounds
 it on small instances.
+
+The merged minimum is a max over monomial pairs, and each pair comes from at
+most two members, so a group's score is the largest merged minimum over its
+pairs of samples.  The search is therefore complete-linkage clustering on the
+M x M matrix of pair minima (``pair_minima``): one fit costs M^2/2 pair
+kernels plus O(M^2) float maxima, and merged polynomials are built only for
+the N final blocks.
 """
 
 from __future__ import annotations
@@ -142,81 +149,103 @@ def score_blocks(blocks: Iterable[tuple[Iterable[int], PuiseuxPoly]]) -> Exponen
     return ExponentResult(exponents, minima, max(minima), Partition(tuple(scored)))
 
 
-class _Cluster:
-    """Mutable working state: index set, merged polynomial, sign-split arrays."""
-
-    __slots__ = ("indices", "least", "poly", "neg_p", "neg_t", "pos_p", "pos_t", "zer_t")
-
-    def __init__(self, indices: frozenset[int], poly: PuiseuxPoly):
-        self.indices = indices
-        self.least = min(indices)
-        self.poly = poly
-        self.neg_p, self.neg_t, self.pos_p, self.pos_t, self.zer_t = _split_by_sign(
-            np.array(poly.exponents), np.array(poly.coefficients)
-        )
+#: Elements per temporary of one pair-kernel call: 256 KiB of float64, so the
+#: few temporaries alive at once stay near 1 MiB and in cache.
+_KERNEL_BLOCK = 1 << 15
 
 
-def _pair_score(a: _Cluster, b: _Cluster) -> float:
-    # Scoring skips exponent dedup: a duplicated exponent contributes only
-    # dominated terms to the pairwise max, so the value is unchanged.
-    return pairwise_minimum_value(
-        np.concatenate([a.neg_p, b.neg_p]),
-        np.concatenate([a.neg_t, b.neg_t]),
-        np.concatenate([a.pos_p, b.pos_p]),
-        np.concatenate([a.pos_t, b.pos_t]),
-        np.concatenate([a.zer_t, b.zer_t]),
-    )
+def pair_minima(polys: Sequence[PuiseuxPoly]) -> np.ndarray:
+    """D[i, k]: the minimum of polys[i] + polys[k], for every pair of indices.
+
+    The minimum of a tropical sum is the mu formula's max over monomial pairs
+    of the sum, so with C[i, k] the max over (negative exponent of polys[i],
+    positive exponent of polys[k]) and z_i polys[i]'s zero-exponent
+    coefficient,
+
+        D[i, k] = max(self_i, self_k, C[i, k], C[k, i]),  self_i = max(C[i, i], z_i),
+
+    and D[i, i] = self_i.  C takes one kernel call per row against every
+    positive side at once (padded with -inf coefficients), split into blocks
+    of rows whose temporaries stay near 1 MiB in all.
+    """
+    m = len(polys)
+    splits = [_split_by_sign(np.array(p.exponents), np.array(p.coefficients)) for p in polys]
+    width = max(pos_p.size for _, _, pos_p, _, _ in splits)
+    pos_p = np.ones((m, width))
+    pos_t = np.full((m, width), -np.inf)
+    zero = np.full(m, -np.inf)
+    for i, (_, _, ps, ts, zs) in enumerate(splits):
+        pos_p[i, : ps.size] = ps
+        pos_t[i, : ts.size] = ts
+        if zs.size:
+            zero[i] = zs.max()
+    cross = np.empty((m, m))
+    no_zero = np.empty(0)
+    for i, (neg_p, neg_t, _, _, _) in enumerate(splits):
+        rows = max(1, _KERNEL_BLOCK // max(1, neg_p.size * width))
+        for k in range(0, m, rows):
+            cross[i, k : k + rows] = pairwise_minimum_value(
+                neg_p, neg_t, pos_p[k : k + rows], pos_t[k : k + rows], no_zero
+            )
+    own = np.maximum(cross.diagonal(), zero)
+    return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
 
 
 def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
     """Greedy agglomerative minimization of delta(p) down to n groups.
 
-    Pair scores live in a lazy-deletion heap keyed by the quantized score and
-    the deterministic tie-break key; entries whose clusters were already
-    merged are skipped on pop.  After a merge only pairs involving the new
-    cluster are scored.  Each block's exponent is the representative point of
-    its minimizing interval.
+    A group's merged minimum is the largest pair minimum ``pair_minima``
+    over its pairs of samples, so the search is complete-linkage clustering
+    on D and a merge updates scores by the Lance-Williams rule
+
+        score(A + B, C) = max(score(A, B), score(A, C), score(B, C)).
+
+    The cost per call is M^2/2 pair kernels for D plus O(M^2) float maxima;
+    ``poly_sum`` and ``min_poly`` run only on the n final blocks.  Pair
+    scores live in a lazy-deletion heap keyed by the quantized score and the
+    deterministic tie-break key; entries whose clusters were already merged
+    are skipped on pop.  Each block's exponent is the representative point
+    of its minimizing interval.
     """
     m = len(polys)
     if not 1 <= n <= m:
         raise ValueError(f"group count must be in 1..{m}, got {n}")
 
-    clusters: dict[int, _Cluster] = {}
-    for i, poly in enumerate(polys):
-        clusters[i] = _Cluster(frozenset([i]), poly)
-    serial = m
-
+    members: dict[int, list[int]] = {i: [i] for i in range(m)}
+    least = list(range(m))
+    scores: list[dict[int, float]] = [{} for _ in range(m)]
     heap: list[tuple[int, tuple[int, int], int, int]] = []
 
-    def push(sa: int, sb: int) -> None:
-        ca, cb = clusters[sa], clusters[sb]
-        score = _pair_score(ca, cb)
+    def push(sa: int, sb: int, score: float) -> None:
         if score == -math.inf:
             raise ValueError(
                 "merged polynomial has an unattained minimum; every input "
                 "needs a zero exponent or exponents of both signs"
             )
-        tie = (min(ca.least, cb.least), max(ca.least, cb.least))
+        scores[sa][sb] = scores[sb][sa] = score
+        la, lb = least[sa], least[sb]
+        tie = (la, lb) if la < lb else (lb, la)
         heapq.heappush(heap, (round(score / SCORE_QUANTUM), tie, sa, sb))
 
-    ids = sorted(clusters)
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            push(ids[ai], ids[bi])
+    for a, row in enumerate(pair_minima(polys).tolist()):
+        for b in range(a + 1, m):
+            push(a, b, row[b])
 
-    while len(clusters) > n:
+    while len(members) > n:
         while True:
             _, _, sa, sb = heapq.heappop(heap)
-            if sa in clusters and sb in clusters:
+            if sa in members and sb in members:
                 break
-        ca = clusters.pop(sa)
-        cb = clusters.pop(sb)
-        merged = _Cluster(ca.indices | cb.indices, poly_sum((ca.poly, cb.poly)))
-        snew = serial
-        serial += 1
-        clusters[snew] = merged
-        for sid in sorted(clusters):
+        snew = len(least)
+        members[snew] = members.pop(sa) + members.pop(sb)
+        least.append(min(least[sa], least[sb]))
+        scores.append({})
+        row_a, row_b = scores[sa], scores[sb]
+        inner = row_a[sb]
+        for sid in sorted(members):
             if sid != snew:
-                push(sid, snew)
+                push(sid, snew, max(inner, row_a[sid], row_b[sid]))
 
-    return score_blocks((c.indices, c.poly) for c in clusters.values())
+    return score_blocks(
+        (indices, poly_sum(polys[i] for i in sorted(indices))) for indices in members.values()
+    )

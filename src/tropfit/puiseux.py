@@ -164,21 +164,30 @@ def pairwise_minimum_value(
     pos_p: np.ndarray,
     pos_t: np.ndarray,
     zero_t: np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """The mu formula on sign-split monomial arrays; -inf if all sets that
-    contribute are empty (the unattained case)."""
-    mu = -math.inf
-    if neg_p.size and pos_p.size:
-        span = neg_p[:, None] - pos_p[None, :]
-        vals = neg_t[:, None] * (-pos_p[None, :] / span) + pos_t[None, :] * (
-            neg_p[:, None] / span
-        )
-        mu = float(vals.max())
-    if zero_t.size:
-        mz = float(zero_t.max())
-        if mz > mu:
-            mu = mz
-    return mu
+    contribute are empty (the unattained case).
+
+    Monomials lie on the last axis.  Leading axes are a batch: they broadcast
+    against each other and the result is an array over them, one value of
+    the formula per batch entry (a float when there are none).  A monomial
+    with coefficient -inf and an exponent of its side's sign adds only -inf
+    values, so it pads ragged batches.
+    """
+    batch = np.broadcast_shapes(
+        neg_p.shape[:-1], neg_t.shape[:-1], pos_p.shape[:-1], pos_t.shape[:-1], zero_t.shape[:-1]
+    )
+    mu = np.full(batch, -np.inf)
+    if neg_p.shape[-1] and pos_p.shape[-1]:
+        neg_p = neg_p[..., :, None]
+        pos_p = pos_p[..., None, :]
+        span = neg_p - pos_p
+        vals = neg_t[..., :, None] * (-pos_p / span) + pos_t[..., None, :] * (neg_p / span)
+        mu = vals.max(axis=(-2, -1))
+    if zero_t.shape[-1]:
+        mz = zero_t.max(axis=-1)
+        mu = np.where(mz > mu, mz, mu)
+    return float(mu) if np.ndim(mu) == 0 else mu
 
 
 def min_poly(poly: PuiseuxPoly) -> PolyMinimum:

@@ -2,15 +2,22 @@
 
 These deliberately avoid the library's solver code paths: grid searches and
 exhaustive enumerations check the closed forms, and plain float/numpy
-arithmetic checks the tropical wrappers.
+arithmetic checks the tropical wrappers.  The one exception is
+``agglomerate_by_merging``, the exponent search written from its definition:
+it shares the mu kernel and the heap keys with ``agglomerate`` but rebuilds
+and rescores merged polynomials after every merge, so the complete-linkage
+updates on pair minima must agree with it bit for bit.
 """
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 
-from tropfit import ZERO, SampleSet, TropMatrix, TropVector
+from tropfit import ZERO, SampleSet, TropMatrix, TropVector, poly_sum
+from tropfit.clustering import SCORE_QUANTUM, score_blocks
+from tropfit.puiseux import _split_by_sign, pairwise_minimum_value
 
 
 def grid_min(monomials, lo=-20.0, hi=20.0, step=1e-3):
@@ -87,3 +94,67 @@ def convex_sampleset(rng, m, n):
     ys = [envelope(x) for x in xs]
     monomials = list(zip(slopes.tolist(), intercepts.tolist()))
     return SampleSet(xs, ys), monomials
+
+
+class _Cluster:
+    """Mutable working state: index set, merged polynomial, sign-split arrays."""
+
+    __slots__ = ("indices", "least", "poly", "neg_p", "neg_t", "pos_p", "pos_t", "zer_t")
+
+    def __init__(self, indices, poly):
+        self.indices = indices
+        self.least = min(indices)
+        self.poly = poly
+        self.neg_p, self.neg_t, self.pos_p, self.pos_t, self.zer_t = _split_by_sign(
+            np.array(poly.exponents), np.array(poly.coefficients)
+        )
+
+
+def _pair_score(a, b):
+    # Scoring skips exponent dedup: a duplicated exponent contributes only
+    # dominated terms to the pairwise max, so the value is unchanged.
+    return pairwise_minimum_value(
+        np.concatenate([a.neg_p, b.neg_p]),
+        np.concatenate([a.neg_t, b.neg_t]),
+        np.concatenate([a.pos_p, b.pos_p]),
+        np.concatenate([a.pos_t, b.pos_t]),
+        np.concatenate([a.zer_t, b.zer_t]),
+    )
+
+
+def agglomerate_by_merging(polys, n):
+    """Reference greedy search: every candidate pair is scored by the mu
+    formula on the concatenation of the two clusters' merged polynomials,
+    and a merge builds the merged polynomial with ``poly_sum``.  Same heap
+    keys and tie-break as ``clustering.agglomerate``."""
+    m = len(polys)
+    if not 1 <= n <= m:
+        raise ValueError(f"group count must be in 1..{m}, got {n}")
+    clusters = {i: _Cluster(frozenset([i]), poly) for i, poly in enumerate(polys)}
+    serial = m
+    heap = []
+
+    def push(sa, sb):
+        ca, cb = clusters[sa], clusters[sb]
+        score = _pair_score(ca, cb)
+        if score == -math.inf:
+            raise ValueError("merged polynomial has an unattained minimum")
+        tie = (min(ca.least, cb.least), max(ca.least, cb.least))
+        heapq.heappush(heap, (round(score / SCORE_QUANTUM), tie, sa, sb))
+
+    for a in range(m):
+        for b in range(a + 1, m):
+            push(a, b)
+    while len(clusters) > n:
+        while True:
+            _, _, sa, sb = heapq.heappop(heap)
+            if sa in clusters and sb in clusters:
+                break
+        ca = clusters.pop(sa)
+        cb = clusters.pop(sb)
+        clusters[serial] = _Cluster(ca.indices | cb.indices, poly_sum((ca.poly, cb.poly)))
+        for sid in sorted(clusters):
+            if sid != serial:
+                push(sid, serial)
+        serial += 1
+    return score_blocks((c.indices, c.poly) for c in clusters.values())

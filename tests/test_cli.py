@@ -230,6 +230,20 @@ def test_sample_rejects_bad_range(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "start, stop, flag",
+    [("nan", "1", "--from"), ("0", "inf", "--to"), ("-inf", "0", "--from"), ("0", "nan", "--to")],
+)
+def test_sample_rejects_nonfinite_bound(capsys, tmp_path, start, stop, flag):
+    path = tmp_path / "r.json"
+    path.write_text(reference_n2l2_report().to_json())
+    code, out, err = run(
+        capsys, ["sample", str(path), f"--from={start}", f"--to={stop}", "--steps", "5"]
+    )
+    assert code == 2 and out == ""
+    assert f"{flag} must be a finite number" in err
+
+
 def test_eval_points(capsys, tmp_path):
     path = tmp_path / "r.json"
     path.write_text(reference_n2l2_report().to_json())

@@ -3,8 +3,11 @@ greedy agglomeration against hand-derived and exhaustive results."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropfit import (
+    PuiseuxPoly,
     SampleSet,
     agglomerate,
     best_approx_solve,
@@ -13,8 +16,9 @@ from tropfit import (
     merged_minimum,
     vandermonde,
 )
+from tropfit.clustering import pair_minima
 
-from oracles import convex_sampleset, grid_min, random_sampleset
+from oracles import agglomerate_by_merging, convex_sampleset, grid_min, random_sampleset
 
 THREE_POINTS = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
 
@@ -153,3 +157,50 @@ def test_agglomerate_invariant_delta_is_max_of_minima(rng):
     assert res.delta_star == max(res.subset_minima)
     blocks = res.partition.index_sets()
     assert sorted(i for b in blocks for i in b) == list(range(7))
+
+
+def test_agglomerate_rejects_unattained_merged_minimum():
+    # both exponents positive and no zero exponent: the merged minimum is ZERO
+    with pytest.raises(ValueError, match="unattained"):
+        agglomerate([PuiseuxPoly([(1.0, 0.0)]), PuiseuxPoly([(2.0, 0.0)])], 1)
+
+
+@st.composite
+def tie_heavy_samplesets(draw, max_size=30):
+    """Small integer or one-decimal coordinates: duplicate abscissae and
+    many exactly tied pair scores."""
+    m = draw(st.integers(1, max_size))
+    if draw(st.booleans()):
+        xs = st.integers(-3, 3).map(float)
+    else:
+        xs = st.integers(0, 20).map(lambda k: k / 10)
+    ys = st.integers(-2, 2).map(float)
+    return SampleSet(draw(st.lists(xs, min_size=m, max_size=m)),
+                     draw(st.lists(ys, min_size=m, max_size=m)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(tie_heavy_samplesets())
+def test_agglomerate_matches_merging_reference(samples):
+    """Complete-linkage updates on the pair minima reproduce the search that
+    rebuilds and rescores merged polynomials, bit for bit, at every n."""
+    polys = error_polynomials(samples)
+    for n in range(1, len(samples) + 1):
+        fast = agglomerate(polys, n)
+        ref = agglomerate_by_merging(polys, n)
+        assert fast.partition.index_sets() == ref.partition.index_sets()
+        assert fast.exponents == ref.exponents
+        assert fast.subset_minima == ref.subset_minima
+        assert fast.delta_star == ref.delta_star
+
+
+@settings(max_examples=30, deadline=None)
+@given(tie_heavy_samplesets(), st.data())
+def test_merged_minimum_is_max_of_pair_minima(samples, data):
+    polys = error_polynomials(samples)
+    d = pair_minima(polys)
+    m = len(samples)
+    for _ in range(5):
+        subset = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+        expected = max(d[i][k] for i in subset for k in subset)
+        assert merged_minimum(subset, polys).mu == expected
