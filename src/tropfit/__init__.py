@@ -5,32 +5,19 @@ polynomials) to sampled data, minimizing the tropical Chebyshev-type
 distance.  In the max-plus semifield the fitted functions are convex and
 difference-of-convex piecewise-linear functions; the max-times semifield is
 supported through its log/exp isomorphism.
+
+Max-plus values are plain floats and vectors and matrices are float64 numpy
+arrays; the tropical zero ``ZERO`` is -inf and the unit ``ONE`` is 0.
 """
 
-from .maxplus import (
-    ONE,
-    ZERO,
-    DomainError,
-    MaxPlusScalar,
-    inv,
-    is_zero,
-    leq,
-    maxplus_to_maxtimes,
-    maxtimes_to_maxplus,
-    oplus,
-    otimes,
-    tmin,
-    tpow,
-)
 from .linalg import (
     INFINITE,
+    ONE,
+    ZERO,
     ApproxSolution,
-    TropMatrix,
-    TropVector,
     TwoSidedSolution,
     alternating_solve,
     best_approx_solve,
-    conjugate,
     distance,
     matvec,
 )
@@ -42,7 +29,6 @@ from .puiseux import (
     eval_rational,
     min_poly,
     poly_sum,
-    vandermonde,
 )
 from .clustering import (
     ExponentResult,
@@ -67,11 +53,7 @@ __all__ = [
     "ONE",
     "ZERO",
     "INFINITE",
-    "DomainError",
-    "MaxPlusScalar",
     "ApproxSolution",
-    "TropMatrix",
-    "TropVector",
     "TwoSidedSolution",
     "PolyMinimum",
     "PuiseuxPoly",
@@ -84,17 +66,7 @@ __all__ = [
     "PolyFit",
     "RationalFit",
     "FitReport",
-    "oplus",
-    "otimes",
-    "inv",
-    "tpow",
-    "tmin",
-    "leq",
-    "is_zero",
-    "maxplus_to_maxtimes",
-    "maxtimes_to_maxplus",
     "matvec",
-    "conjugate",
     "distance",
     "best_approx_solve",
     "alternating_solve",
@@ -102,7 +74,6 @@ __all__ = [
     "eval_rational",
     "min_poly",
     "poly_sum",
-    "vandermonde",
     "error_polynomials",
     "merged_minimum",
     "agglomerate",

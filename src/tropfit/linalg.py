@@ -1,5 +1,11 @@
-"""Dense max-plus vectors and matrices, the Chebyshev-type distance, and
-best-approximate solvers for one- and two-sided linear equations.
+"""Max-plus matrix-vector algebra on float64 arrays, the Chebyshev-type
+distance, and best-approximate solvers for one- and two-sided linear
+equations.
+
+Vectors and matrices are numpy float64 arrays.  The tropical zero ``ZERO``
+is IEEE -inf and the unit ``ONE`` is 0, so max-plus addition is ``max`` and
+multiplication is ``+``: -inf absorbs under ``+`` as long as no +inf or NaN
+enters, which the solvers' input checks rule out.
 
 The one-sided solver rests on residuation: for regular A and b the vector
 (b- A)- is the greatest x with A x <= b, the scalar
@@ -14,20 +20,16 @@ until the error hits ONE or an iterate repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maxplus import (
-    ZERO,
-    ONE,
-    MaxPlusScalar,
-    ensure_scalar,
-    oplus,
-    otimes,
-    to_float,
-)
+#: Tropical zero (additive identity), multiplicative unit, and the distance
+#: between vectors of different supports, which orders above every scalar.
+ZERO = -math.inf
+ONE = 0.0
+INFINITE = math.inf
 
 #: Quantization step for the iterate-repetition test in alternating_solve.
 #: Exact float equality would be defeated by accumulated rounding drift.
@@ -37,175 +39,65 @@ CYCLE_QUANTUM = 1e-12
 EXACT_TOL = 1e-9
 
 
-class _Infinite:
-    """Distance value for vectors with different supports; ordered above
-    every scalar (ZERO included)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-
-INFINITE = _Infinite()
-
-
-class TropVector:
-    """Immutable vector of max-plus scalars."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[MaxPlusScalar]):
-        self._entries = tuple(ensure_scalar(e) for e in entries)
-        if not self._entries:
-            raise ValueError("empty vector")
-
-    @property
-    def entries(self) -> tuple[MaxPlusScalar, ...]:
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, i: int) -> MaxPlusScalar:
-        return self._entries[i]
-
-    def __iter__(self) -> Iterator[MaxPlusScalar]:
-        return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TropVector) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        return f"TropVector({list(self._entries)!r})"
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self._entries) if e is not ZERO)
-
-    def is_regular(self) -> bool:
-        """True when every entry is nonzero (finite)."""
-        return all(e is not ZERO for e in self._entries)
-
-
-class TropMatrix:
-    """Immutable row-major matrix of max-plus scalars."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable[MaxPlusScalar]]):
-        self._rows = tuple(tuple(ensure_scalar(e) for e in row) for row in rows)
-        if not self._rows or not self._rows[0]:
-            raise ValueError("empty matrix")
-        width = len(self._rows[0])
-        if any(len(row) != width for row in self._rows):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "TropMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @property
-    def rows(self) -> tuple[tuple[MaxPlusScalar, ...], ...]:
-        return self._rows
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self._rows), len(self._rows[0]))
-
-    def __getitem__(self, ij: tuple[int, int]) -> MaxPlusScalar:
-        i, j = ij
-        return self._rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TropMatrix) and self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"TropMatrix({[list(r) for r in self._rows]!r})"
-
-    def column(self, j: int) -> tuple[MaxPlusScalar, ...]:
-        return tuple(row[j] for row in self._rows)
-
-    def is_row_regular(self) -> bool:
-        return all(any(e is not ZERO for e in row) for row in self._rows)
-
-    def is_column_regular(self) -> bool:
-        m, n = self.shape
-        return all(any(row[j] is not ZERO for row in self._rows) for j in range(n))
-
-    def is_regular(self) -> bool:
-        return self.is_row_regular() and self.is_column_regular()
-
-
-def matvec(a: TropMatrix, x: TropVector) -> TropVector:
+def matvec(a, x) -> np.ndarray:
     """Max-plus matrix-vector product: result_i = max_j (a_ij + x_j)."""
-    m, n = a.shape
-    if len(x) != n:
-        raise ValueError(f"shape mismatch: {a.shape} times {len(x)}")
-    out = []
-    for row in a.rows:
-        acc: MaxPlusScalar = ZERO
-        for aij, xj in zip(row, x):
-            acc = oplus(acc, otimes(aij, xj))
-        out.append(acc)
-    return TropVector(out)
+    return np.max(np.add(a, x), axis=1)
 
 
-def conjugate(x: TropVector) -> TropVector:
-    """Multiplicative conjugate transpose: entrywise negation, ZERO preserved."""
-    return TropVector(ZERO if e is ZERO else -e for e in x)
-
-
-def distance(x: TropVector, y: TropVector) -> MaxPlusScalar | _Infinite:
+def distance(x, y) -> float:
     """Tropical distance (y- x) oplus (x- y).
 
-    Equals the Chebyshev metric max_i |x_i - y_i| on co-supported finite
-    vectors, ONE when both vectors are all-ZERO, and INFINITE when the
-    supports differ.
+    Equals the Chebyshev metric max_i |x_i - y_i| on co-supported vectors,
+    ONE when both vectors are all-ZERO, and INFINITE when the supports
+    differ.
     """
-    if len(x) != len(y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape != y.shape:
         raise ValueError("dimension mismatch")
-    d: MaxPlusScalar = ZERO
-    empty = True
-    for xi, yi in zip(x, y):
-        if (xi is ZERO) != (yi is ZERO):
-            return INFINITE
-        if xi is ZERO:
-            continue
-        empty = False
-        gap = xi - yi if xi >= yi else yi - xi
-        if d is ZERO or gap > d:
-            d = gap
-    if empty:
+    support = x > ZERO
+    if (support != (y > ZERO)).any():
+        return INFINITE
+    if not support.any():
         return ONE
-    return d
+    return float(np.max(np.abs(x[support] - y[support])))
+
+
+def _matrix(a, name: str) -> np.ndarray:
+    """``a`` as a regular float64 matrix: 2-D, nonempty, real or ZERO
+    entries, and no row or column that is all ZERO."""
+    try:
+        a = np.array(a, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be a rectangular matrix of numbers") from exc
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D matrix")
+    if np.isnan(a).any() or (a == math.inf).any():
+        raise ValueError(f"{name} entries must be real or ZERO (-inf)")
+    support = a > ZERO
+    if not (support.any(axis=1).all() and support.any(axis=0).all()):
+        raise ValueError(f"{name} must be regular (no all-ZERO row or column)")
+    return a
+
+
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """``v`` as a finite float64 vector of length n."""
+    v = np.array(v, dtype=float)
+    if v.shape != (n,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a finite vector of length {n}")
+    return v
 
 
 @dataclass(frozen=True)
 class ApproxSolution:
     """Best approximate solution of A x = b with squared error delta."""
 
-    delta: MaxPlusScalar
-    solution: TropVector
+    delta: float
+    solution: np.ndarray
     exact: bool
 
 
 def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Residuation of A x = b for regular A (ZERO entries as -inf) and finite b.
+    """Residuation of A x = b for regular A and finite b.
 
     Returns the squared error delta = max_i (b_i - max_j (a_ij + xhat_j)) and
     xhat = (b- A)-, the greatest x with A x <= b, whose entries are
@@ -213,40 +105,30 @@ def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     delta/2 + xhat.
     """
     xhat = -np.max(a - b[:, None], axis=0)
-    delta = float(np.max(b - np.max(a + xhat, axis=1)))
+    delta = float(np.max(b - matvec(a, xhat)))
     return delta, xhat
 
 
-def _dense(a: TropMatrix) -> np.ndarray:
-    return np.array([[to_float(e) for e in row] for row in a.rows])
-
-
-def best_approx_solve(a: TropMatrix, b: TropVector) -> ApproxSolution:
+def best_approx_solve(a, b) -> ApproxSolution:
     """Solve A x = b in the best-approximation sense.
 
     Returns the squared error delta = (A (b- A)-)- b and the minimizer
-    sqrt(delta) (b- A)-; the achieved distance is sqrt(delta) and no regular
+    sqrt(delta) (b- A)-; the achieved distance is sqrt(delta) and no finite
     x does better.  When delta == ONE the equation is consistent and the
     returned vector is its greatest exact solution.
     """
-    if len(b) != a.shape[0]:
-        raise ValueError("dimension mismatch")
-    if not a.is_regular():
-        raise ValueError("matrix must be regular (no zero row or column)")
-    if not b.is_regular():
-        raise ValueError("right-hand side must be regular")
-    delta, xhat = residuate(_dense(a), np.array(b.entries))
-    solution = TropVector((delta / 2 + xhat).tolist())
-    return ApproxSolution(delta, solution, exact=abs(delta) <= EXACT_TOL)
+    a = _matrix(a, "A")
+    delta, xhat = residuate(a, _vector(b, a.shape[0], "b"))
+    return ApproxSolution(delta, delta / 2 + xhat, exact=abs(delta) <= EXACT_TOL)
 
 
 @dataclass(frozen=True)
 class TwoSidedSolution:
     """Output of alternating_solve: squared error, both vectors, stop reason."""
 
-    delta: MaxPlusScalar
-    x: TropVector
-    y: TropVector
+    delta: float
+    x: np.ndarray
+    y: np.ndarray
     reason: str  # "exact" | "cycle" | "iteration-cap"
 
 
@@ -254,12 +136,7 @@ def _quantize(v: np.ndarray) -> tuple[int, ...]:
     return tuple(round(e / CYCLE_QUANTUM) for e in v.tolist())
 
 
-def alternating_solve(
-    a: TropMatrix,
-    b: TropMatrix,
-    x0: TropVector | None = None,
-    max_iter: int = 10_000,
-) -> TwoSidedSolution:
+def alternating_solve(a, b, x0=None, max_iter: int = 10_000) -> TwoSidedSolution:
     """Best approximate solution of the two-sided equation A x = B y.
 
     Alternates one-sided solves: fix x and solve B y = A x for y, then fix y
@@ -269,29 +146,25 @@ def alternating_solve(
     sequence cannot escape.  Vectors are compared after quantization to
     CYCLE_QUANTUM so rounding drift cannot defeat the repetition test.  The
     iteration cap guards against non-termination under float noise and is
-    reported as its own outcome.
+    reported as its own outcome.  The start x0 defaults to the all-ONE
+    vector.
     """
+    a, b = _matrix(a, "A"), _matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise ValueError("A and B must have the same number of rows")
-    if not a.is_regular() or not b.is_regular():
-        raise ValueError("A and B must be regular")
-    if x0 is None:
-        x0 = TropVector([ONE] * a.shape[1])
-    if len(x0) != a.shape[1] or not x0.is_regular():
-        raise ValueError("x0 must be a regular vector conforming to A")
+    n = a.shape[1]
+    x = np.full(n, ONE) if x0 is None else _vector(x0, n, "x0")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 
-    am, bm = _dense(a), _dense(b)
-    x = np.array(x0.entries)
     seen = {(1, _quantize(x))}
     reason = "iteration-cap"
     for k in range(2 * max_iter):
         if k % 2 == 0:
-            delta, yhat = residuate(bm, np.max(am + x, axis=1))
+            delta, yhat = residuate(b, matvec(a, x))
             y = new = delta / 2 + yhat
         else:
-            delta, xhat = residuate(am, np.max(bm + y, axis=1))
+            delta, xhat = residuate(a, matvec(b, y))
             x = new = delta / 2 + xhat
         if abs(delta) <= EXACT_TOL:
             reason = "exact"
@@ -301,4 +174,4 @@ def alternating_solve(
             reason = "cycle"
             break
         seen.add(key)
-    return TwoSidedSolution(delta, TropVector(x.tolist()), TropVector(y.tolist()), reason)
+    return TwoSidedSolution(delta, x, y, reason)

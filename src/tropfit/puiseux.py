@@ -18,19 +18,16 @@ together with the interval of minimizers
     max_{p_j < 0} (mu - theta_j)/p_j  <=  x  <=  min_{p_j > 0} (mu - theta_j)/p_j.
 
 This costs O(N^2).  When every exponent is strictly one-signed the infimum is
-ZERO and is not attained; that case is reported, not raised.
+-inf and is not attained; that case is reported, not raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from .maxplus import ZERO, DomainError, MaxPlusScalar, ensure_scalar
-from .linalg import TropMatrix
 
 #: Exponents within this distance of 0 are classified as zero exponents.
 #: The exponent polynomials built by the clustering stage always carry an
@@ -53,7 +50,7 @@ class PuiseuxPoly:
             if math.isnan(p) or math.isinf(p):
                 raise ValueError(f"exponent must be a finite real, got {p!r}")
             if math.isnan(t) or math.isinf(t):
-                raise DomainError(f"coefficient must be finite (nonzero), got {t!r}")
+                raise ValueError(f"coefficient must be finite, got {t!r}")
             if p in merged:
                 if t > merged[p]:
                     merged[p] = t
@@ -91,28 +88,16 @@ class PuiseuxRational:
     denominator: PuiseuxPoly
 
 
-def eval_poly(poly: PuiseuxPoly, x: MaxPlusScalar) -> float:
-    """Evaluate max_j (p_j * x + theta_j); defined for x above ZERO."""
-    if x is ZERO:
-        raise DomainError("polynomials are evaluated at x > ZERO")
-    x = ensure_scalar(x)
+def eval_poly(poly: PuiseuxPoly, x: float) -> float:
+    """Evaluate max_j (p_j * x + theta_j) at a finite x."""
+    if not math.isfinite(x):
+        raise ValueError(f"polynomials are evaluated at finite x, got {x!r}")
     return max(p * x + t for p, t in poly.monomials)
 
 
-def eval_rational(r: PuiseuxRational, x: MaxPlusScalar) -> float:
+def eval_rational(r: PuiseuxRational, x: float) -> float:
     """Evaluate the quotient: numerator(x) - denominator(x)."""
     return eval_poly(r.numerator, x) - eval_poly(r.denominator, x)
-
-
-def vandermonde(xs: Sequence[MaxPlusScalar], exponents: Sequence[float]) -> TropMatrix:
-    """Monomial-value matrix with entries x_i ** p_j = p_j * x_i."""
-    rows = []
-    for x in xs:
-        if x is ZERO:
-            raise DomainError("sample points must be nonzero")
-        x = ensure_scalar(x)
-        rows.append([float(p) * x for p in exponents])
-    return TropMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -120,11 +105,11 @@ class PolyMinimum:
     """Minimum value of a polynomial and the closed interval attaining it.
 
     ``lower``/``upper`` of None mean unbounded on that side.  ``attained`` is
-    False only for one-signed exponent sets, where the infimum is ZERO and no
-    minimizer exists; ``mu`` is then ZERO.
+    False only for one-signed exponent sets, where the infimum is -inf and no
+    minimizer exists; ``mu`` is then -inf.
     """
 
-    mu: MaxPlusScalar
+    mu: float
     lower: float | None
     upper: float | None
     attained: bool = True
@@ -191,13 +176,13 @@ def pairwise_minimum_value(
 
 
 def min_poly(poly: PuiseuxPoly) -> PolyMinimum:
-    """Minimize a polynomial over x > ZERO by the closed form above."""
+    """Minimize a polynomial over the real line by the closed form above."""
     ps = np.array(poly.exponents, dtype=float)
     ts = np.array(poly.coefficients, dtype=float)
     neg_p, neg_t, pos_p, pos_t, zero_t = _split_by_sign(ps, ts)
     mu = pairwise_minimum_value(neg_p, neg_t, pos_p, pos_t, zero_t)
     if mu == -math.inf:
-        return PolyMinimum(ZERO, None, None, attained=False)
+        return PolyMinimum(mu, None, None, attained=False)
     lower = float(((mu - neg_t) / neg_p).max()) if neg_p.size else None
     upper = float(((mu - pos_t) / pos_p).min()) if pos_p.size else None
     return PolyMinimum(mu, lower, upper)

@@ -145,23 +145,27 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitReport":
+        """Parse a report object; a value of the wrong JSON type, an unknown
+        mode or malformed monomial lists raise ValueError."""
+        _expect(data, dict, "a report")
         if data["mode"] not in (MODE_MAXPLUS, MODE_MAXTIMES):
             raise ValueError(f"unknown mode {data['mode']!r}")
         num_p, num_t = _monomial_lists(data, "numerator")
         den_p = den_t = None
         if data.get("denominator"):
             den_p, den_t = _monomial_lists(data, "denominator")
+        trace = [_numbers(step, "a trace entry") for step in _expect(data["trace"], list, "trace")]
         return cls(
             mode=data["mode"],
-            n=int(data["n"]),
-            l=int(data["l"]) if "l" in data else None,
+            n=_expect(data["n"], int, "n"),
+            l=_expect(data["l"], int, "l") if "l" in data else None,
             numerator_exponents=num_p,
             numerator_coefficients=num_t,
             denominator_exponents=den_p,
             denominator_coefficients=den_t,
-            delta_star=float(data["delta_star"]),
-            chebyshev_error=float(data["chebyshev_error"]),
-            trace=tuple((int(k), float(d)) for k, d in data["trace"]),
+            delta_star=float(_expect(data["delta_star"], _NUMBER, "delta_star")),
+            chebyshev_error=float(_expect(data["chebyshev_error"], _NUMBER, "chebyshev_error")),
+            trace=tuple((_expect(k, int, "a trace step"), float(d)) for k, d in trace),
             stop_reason=data["stop_reason"],
         )
 
@@ -170,9 +174,28 @@ class FitReport:
         return cls.from_dict(json.loads(text))
 
 
+_NUMBER = (int, float)
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", _NUMBER: "a number"}
+
+
+def _expect(value, kind, what: str):
+    """``value`` if it has the JSON type ``kind``, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _numbers(value, what: str) -> tuple:
+    """A JSON list of numbers as a tuple, else ValueError."""
+    for v in _expect(value, list, what):
+        _expect(v, _NUMBER, f"every entry of {what}")
+    return tuple(value)
+
+
 def _monomial_lists(data: dict, part: str) -> tuple[tuple, tuple]:
-    exponents = tuple(data[part]["exponents"])
-    coefficients = tuple(data[part]["coefficients"])
+    lists = _expect(data[part], dict, part)
+    exponents = _numbers(lists["exponents"], f"{part} exponents")
+    coefficients = _numbers(lists["coefficients"], f"{part} coefficients")
     if not exponents or len(exponents) != len(coefficients):
         raise ValueError(
             f"{part}: exponents and coefficients must be nonempty and of equal length"

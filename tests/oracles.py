@@ -1,8 +1,10 @@
 """Independent oracles and random-instance generators used across the suite.
 
 These deliberately avoid the library's solver code paths: grid searches and
-exhaustive enumerations check the closed forms, and plain float/numpy
-arithmetic checks the tropical wrappers.  The one exception is
+exhaustive enumerations check the closed forms, and pure-Python loops over
+floats (``matvec``, ``chebyshev``, ``monomial_matrix``) check the numpy
+kernels.  Vectors and matrices are float arrays or nested lists with -inf as
+the tropical zero, as in the library.  The one exception is
 ``agglomerate_by_merging``, the exponent search written from its definition:
 it shares the mu kernel and the heap keys with ``agglomerate`` but rebuilds
 and rescores merged polynomials after every merge, so the complete-linkage
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from tropfit import ZERO, SampleSet, TropMatrix, TropVector, poly_sum
+from tropfit import SampleSet, poly_sum
 from tropfit.clustering import SCORE_QUANTUM, score_blocks
 from tropfit.puiseux import _split_by_sign, pairwise_minimum_value
 
@@ -35,6 +37,23 @@ def chebyshev(u, v):
     return max(abs(a - b) for a, b in zip(u, v))
 
 
+def matvec(a, x):
+    """Max-plus product max_j (a_ij + x_j) by a double loop over floats."""
+    x = np.asarray(x, dtype=float).tolist()
+    out = []
+    for row in np.asarray(a, dtype=float).tolist():
+        acc = -math.inf
+        for aij, xj in zip(row, x):
+            acc = max(acc, aij + xj)
+        out.append(acc)
+    return out
+
+
+def monomial_matrix(xs, exponents):
+    """Monomial-value matrix with entries p_j * x_i."""
+    return [[p * x for p in exponents] for x in xs]
+
+
 def assignments(m, n):
     """All maps {0..m-1} -> {0..n-1}; the labeled partitions (empty parts
     allowed) over which the max/min distributivity identity ranges."""
@@ -42,23 +61,21 @@ def assignments(m, n):
 
 
 def random_finite_vector(rng, n, low=-10.0, high=10.0):
-    return TropVector(rng.uniform(low, high, size=n).tolist())
+    return rng.uniform(low, high, size=n)
 
 
 def random_finite_matrix(rng, m, n, low=-10.0, high=10.0):
-    return TropMatrix(rng.uniform(low, high, size=(m, n)).tolist())
+    return rng.uniform(low, high, size=(m, n))
 
 
 def random_regular_matrix(rng, m, n, low=-10.0, high=10.0, zero_frac=0.4):
-    """Matrix with about ``zero_frac`` of its entries ZERO, redrawn until no
-    row or column is all ZERO."""
+    """Matrix with about ``zero_frac`` of its entries -inf (the tropical
+    zero), redrawn until no row or column is all -inf."""
     while True:
-        values = rng.uniform(low, high, size=(m, n)).tolist()
-        zeros = (rng.random((m, n)) < zero_frac).tolist()
-        a = TropMatrix(
-            [[ZERO if z else v for v, z in zip(row, zrow)] for row, zrow in zip(values, zeros)]
-        )
-        if a.is_regular():
+        values = rng.uniform(low, high, size=(m, n))
+        a = np.where(rng.random((m, n)) < zero_frac, -math.inf, values)
+        finite = a > -math.inf
+        if finite.any(axis=1).all() and finite.any(axis=0).all():
             return a
 
 

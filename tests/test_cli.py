@@ -260,6 +260,45 @@ def test_eval_points(capsys, tmp_path):
     assert vals[1] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "args, xs",
+    [
+        (["sample", "--from", "-1e3", "--to", "0", "--steps", "3"], [-1000.0, -500.0, 0.0]),
+        (["sample", "--from", "-2E-1", "--to", "-1e-1", "--steps", "2"], [-0.2, -0.1]),
+        (["eval", "-1e-3"], [-0.001]),
+        (["eval", "-.5", "-1.5e0", "2"], [-0.5, -1.5, 2.0]),
+    ],
+    ids=["sample-from", "sample-range", "eval-one", "eval-several"],
+)
+def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path, args, xs):
+    path = tmp_path / "r.json"
+    path.write_text(reference_n2l2_report().to_json())
+    code, out, err = run(capsys, [args[0], str(path), *args[1:]])
+    assert code == 0, err
+    assert [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]] == (
+        pytest.approx(xs, abs=1e-15)
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "inf"], "finite"),
+        (["eval", "nan"], "finite"),
+        (["eval", "0", "-inf"], "finite"),
+        (["sample", "--from", "-inf", "--to", "0", "--steps", "3"],
+         "--from must be a finite number"),
+    ],
+    ids=["eval-inf", "eval-nan", "eval-minus-inf", "sample-from-minus-inf"],
+)
+def test_nonfinite_arguments_exit_2(capsys, tmp_path, args, message):
+    path = tmp_path / "r.json"
+    path.write_text(reference_n2l2_report().to_json())
+    code, out, err = run(capsys, [args[0], str(path), *args[1:]])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def _walk_numbers(node):
     if isinstance(node, dict):
         for v in node.values():
@@ -299,12 +338,28 @@ def test_eval_and_sample_reject_malformed_monomial_lists(capsys, tmp_path):
     three_exponents["numerator"]["exponents"].append(1.0)
     empty_denominator = reference_n2l2_report().to_dict()
     empty_denominator["denominator"] = {"exponents": [], "coefficients": []}
-    for data, part in ((three_exponents, "numerator"), (empty_denominator, "denominator")):
+    numerator_list = reference_n2l2_report().to_dict()
+    numerator_list["numerator"] = [[-0.0628, 3.8735], [0.51, -4.6017]]
+    exponents_number = reference_n2l2_report().to_dict()
+    exponents_number["numerator"]["exponents"] = 1.0
+    null_exponent = reference_n2l2_report().to_dict()
+    null_exponent["denominator"]["exponents"][0] = None
+    null_n = reference_n2l2_report().to_dict()
+    null_n["n"] = None
+    for data, message in (
+        (three_exponents, "numerator"),
+        (empty_denominator, "denominator"),
+        ([reference_n2l2_report().to_dict()], "a report must be an object"),
+        (numerator_list, "numerator must be an object"),
+        (exponents_number, "numerator exponents must be a list"),
+        (null_exponent, "every entry of denominator exponents must be a number"),
+        (null_n, "n must be an integer"),
+    ):
         path = tmp_path / "r.json"
         path.write_text(json.dumps(data))
         for argv in _report_commands(path):
             code, _, err = run(capsys, argv)
-            assert code == 2 and part in err
+            assert code == 2 and message in err
 
 
 def test_eval_and_sample_reject_unknown_mode(capsys, tmp_path):

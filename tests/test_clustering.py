@@ -1,5 +1,9 @@
-"""Exponent search: per-sample error polynomials, subset minima, and the
-greedy agglomeration against hand-derived and exhaustive results."""
+"""Exponent search: per-sample error polynomials, subset minima, the
+greedy agglomeration against hand-derived and exhaustive results, and the
+two max/min identities the search rests on."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +15,21 @@ from tropfit import (
     SampleSet,
     agglomerate,
     best_approx_solve,
-    TropVector,
     error_polynomials,
     merged_minimum,
-    vandermonde,
 )
 from tropfit.clustering import pair_minima
 
-from oracles import agglomerate_by_merging, convex_sampleset, grid_min, random_sampleset
+from oracles import (
+    agglomerate_by_merging,
+    assignments,
+    chebyshev,
+    convex_sampleset,
+    grid_min,
+    matvec,
+    monomial_matrix,
+    random_sampleset,
+)
 
 THREE_POINTS = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
 
@@ -132,15 +143,17 @@ def test_agglomerate_three_point_example():
 
 def test_agglomerate_delta_consistency(rng):
     """The clustering objective equals the matrix-residuation error at the
-    returned exponents."""
+    returned exponents, and the residuation's solution attains it."""
     for _ in range(15):
         m = int(rng.integers(2, 9))
         n = int(rng.integers(1, min(m, 4) + 1))
         samples = random_sampleset(rng, m)
         res = agglomerate(error_polynomials(samples), n)
-        x = vandermonde(samples.xs, res.exponents)
-        delta = best_approx_solve(x, TropVector(samples.ys)).delta
-        assert delta == pytest.approx(res.delta_star, abs=1e-9)
+        x = monomial_matrix(samples.xs, res.exponents)
+        sol = best_approx_solve(x, samples.ys)
+        assert sol.delta == pytest.approx(res.delta_star, abs=1e-9)
+        achieved = chebyshev(matvec(x, sol.solution), samples.ys)
+        assert achieved == pytest.approx(res.delta_star / 2, abs=1e-9)
 
 
 def test_agglomerate_deterministic(rng):
@@ -160,7 +173,7 @@ def test_agglomerate_invariant_delta_is_max_of_minima(rng):
 
 
 def test_agglomerate_rejects_unattained_merged_minimum():
-    # both exponents positive and no zero exponent: the merged minimum is ZERO
+    # both exponents positive and no zero exponent: the merged minimum is -inf
     with pytest.raises(ValueError, match="unattained"):
         agglomerate([PuiseuxPoly([(1.0, 0.0)]), PuiseuxPoly([(2.0, 0.0)])], 1)
 
@@ -204,3 +217,48 @@ def test_merged_minimum_is_max_of_pair_minima(samples, data):
         subset = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
         expected = max(d[i][k] for i in subset for k in subset)
         assert merged_minimum(subset, polys).mu == expected
+
+
+# --- max/min identities ------------------------------------------------------------
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_plus_over_min_distributivity(m, n, data):
+    """max_i min_j x_ij equals the min over labeled partitions (empty parts
+    allowed) of max_j max_{i in I_j} x_ij, by exhaustive enumeration."""
+    grid = [
+        [data.draw(st.floats(min_value=-50, max_value=50, allow_nan=False)) for _ in range(n)]
+        for _ in range(m)
+    ]
+    lhs = max(min(row) for row in grid)
+    rhs = math.inf
+    for labels in assignments(m, n):
+        value = -math.inf
+        for i, j in enumerate(labels):
+            value = max(value, grid[i][j])
+        rhs = min(rhs, value)
+    assert lhs == rhs
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_min_of_max_separable(n, domain_size, data):
+    """Joint minimization of max_j f_j(x_j) splits into per-coordinate
+    minimization."""
+    tables = [
+        [data.draw(st.floats(min_value=-50, max_value=50, allow_nan=False)) for _ in range(domain_size)]
+        for _ in range(n)
+    ]
+    lhs = min(
+        max(tables[j][choice[j]] for j in range(n))
+        for choice in itertools.product(range(domain_size), repeat=n)
+    )
+    rhs = max(min(table) for table in tables)
+    assert lhs == rhs
