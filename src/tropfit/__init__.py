@@ -28,7 +28,6 @@ from .puiseux import (
     eval_poly,
     eval_rational,
     min_poly,
-    poly_sum,
 )
 from .clustering import (
     ExponentResult,
@@ -37,7 +36,6 @@ from .clustering import (
     SampleSet,
     agglomerate,
     error_polynomials,
-    merged_minimum,
 )
 from .fitting import (
     FitConfig,
@@ -73,9 +71,7 @@ __all__ = [
     "eval_poly",
     "eval_rational",
     "min_poly",
-    "poly_sum",
     "error_polynomials",
-    "merged_minimum",
     "agglomerate",
     "fit_polynomial",
     "fit_rational",

@@ -15,12 +15,15 @@ has the least minimum, until N groups remain.  The greedy partition is a
 heuristic, not a guaranteed optimum; ``fitting.brute_force_poly_fit`` bounds
 it on small instances.
 
-The merged minimum is a max over monomial pairs, and each pair comes from at
-most two members, so a group's score is the largest merged minimum over its
-pairs of samples.  The search is therefore complete-linkage clustering on the
-M x M matrix of pair minima (``pair_minima``): one fit costs M^2/2 pair
-kernels plus O(M^2) float maxima, and merged polynomials are built only for
-the N final blocks.
+All M error polynomials together are one (M, M, 2) float array E with
+E[i, j] = (x_j - x_i, y_i - y_j) (``error_polynomials``).  The merged minimum
+is a max over monomial pairs, and each pair comes from at most two members,
+so a group's score is the largest merged minimum over its pairs of samples.
+The search is therefore complete-linkage clustering on the M x M matrix of
+pair minima (``pair_minima``).  Each of its M^2/2 entries is a mu kernel over
+O(M^2) monomial pairs, so D costs O(M^4); the merges then cost O(M^2 log M)
+heap operations on float maxima.  Polynomial objects are built only for the
+N final blocks.
 """
 
 from __future__ import annotations
@@ -28,17 +31,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .puiseux import (
+    ZERO_EXPONENT_TOL,
     PolyMinimum,
     PuiseuxPoly,
-    _split_by_sign,
     min_poly,
     pairwise_minimum_value,
-    poly_sum,
 )
 
 #: Merged-minimum scores within this tolerance are tied; ties are broken by
@@ -80,31 +82,22 @@ class SampleSet:
         return len(self.xs)
 
 
-def error_polynomials(samples: SampleSet) -> tuple[PuiseuxPoly, ...]:
-    """One polynomial per sample: E_i has monomials (x_j - x_i, y_i - y_j).
+def error_polynomials(samples: SampleSet) -> np.ndarray:
+    """All per-sample error polynomials as one (M, M, 2) float array E.
 
-    Duplicate abscissae produce duplicate exponents which the canonical form
-    merges by coefficient max.  Every E_i carries the monomial (0, 0) from
-    j = i, so E_i(p) >= 0 for all p.
+    Row i holds E_i's monomials E[i, j] = (x_j - x_i, y_i - y_j), one per
+    sample j and not deduplicated: duplicate abscissae give repeated
+    exponents, which only the block polynomials of ``score_blocks`` merge by
+    coefficient max.  E[i, i] = (0, 0), so E_i(p) >= 0 for all p.  Raises
+    ValueError when a difference overflows the float range.
     """
-    xs, ys = samples.xs, samples.ys
-    m = len(samples)
-    return tuple(
-        PuiseuxPoly((xs[j] - xs[i], ys[i] - ys[j]) for j in range(m))
-        for i in range(m)
-    )
-
-
-def merged_minimum(subset: Iterable[int], polys: Sequence[PuiseuxPoly]) -> PolyMinimum:
-    """Minimum of the tropical sum of the subset's polynomials.
-
-    Always attained: the zero-exponent monomial present in every member keeps
-    the merged polynomial mixed-sign (or constant).
-    """
-    indices = sorted(set(subset))
-    if not indices:
-        raise ValueError("subset must be nonempty")
-    return min_poly(poly_sum(polys[i] for i in indices))
+    xs = np.array(samples.xs)
+    ys = np.array(samples.ys)
+    with np.errstate(over="ignore"):
+        polys = np.stack((xs[None, :] - xs[:, None], ys[:, None] - ys[None, :]), axis=-1)
+    if not np.isfinite(polys).all():
+        raise ValueError("sample coordinate differences must be finite")
+    return polys
 
 
 @dataclass(frozen=True)
@@ -137,13 +130,17 @@ class ExponentResult:
     partition: Partition
 
 
-def score_blocks(blocks: Iterable[tuple[Iterable[int], PuiseuxPoly]]) -> ExponentResult:
-    """Score (indices, merged polynomial) blocks with ``min_poly`` and
-    assemble the search output, blocks ordered by least index."""
-    scored = [
-        PartitionBlock(frozenset(indices), poly, min_poly(poly))
-        for indices, poly in sorted(blocks, key=lambda block: min(block[0]))
-    ]
+def score_blocks(blocks: Iterable[Iterable[int]], polys: np.ndarray) -> ExponentResult:
+    """Score blocks of sample indices and assemble the search output, blocks
+    ordered by least index.
+
+    A block's merged polynomial is the tropical sum of its members' rows of
+    ``polys``, and ``min_poly`` gives its minimum and exponent.
+    """
+    scored = []
+    for indices in sorted((sorted(block) for block in blocks), key=lambda block: block[0]):
+        poly = PuiseuxPoly(polys[indices].reshape(-1, 2).tolist())
+        scored.append(PartitionBlock(frozenset(indices), poly, min_poly(poly)))
     minima = tuple(b.minimum.mu for b in scored)
     exponents = tuple(b.minimum.representative() for b in scored)
     return ExponentResult(exponents, minima, max(minima), Partition(tuple(scored)))
@@ -154,34 +151,38 @@ def score_blocks(blocks: Iterable[tuple[Iterable[int], PuiseuxPoly]]) -> Exponen
 _KERNEL_BLOCK = 1 << 15
 
 
-def pair_minima(polys: Sequence[PuiseuxPoly]) -> np.ndarray:
-    """D[i, k]: the minimum of polys[i] + polys[k], for every pair of indices.
+def pair_minima(polys: np.ndarray) -> np.ndarray:
+    """D[i, k]: the minimum of polys[i] + polys[k], for every pair of rows of
+    an (M, K, 2) monomial array.
 
     The minimum of a tropical sum is the mu formula's max over monomial pairs
     of the sum, so with C[i, k] the max over (negative exponent of polys[i],
-    positive exponent of polys[k]) and z_i polys[i]'s zero-exponent
+    positive exponent of polys[k]) and z_i polys[i]'s largest zero-exponent
     coefficient,
 
         D[i, k] = max(self_i, self_k, C[i, k], C[k, i]),  self_i = max(C[i, i], z_i),
 
-    and D[i, i] = self_i.  C takes one kernel call per row against every
-    positive side at once (padded with -inf coefficients), split into blocks
-    of rows whose temporaries stay near 1 MiB in all.
+    and D[i, i] = self_i.  Every positive side keeps all columns that are
+    positive in some row, with exponent 1 and coefficient -inf (which adds
+    only -inf values) where its own monomial is not positive.  C takes one
+    kernel call per row against every positive side at once, split into
+    blocks of rows whose temporaries stay near 1 MiB in all.
     """
     m = len(polys)
-    splits = [_split_by_sign(np.array(p.exponents), np.array(p.coefficients)) for p in polys]
-    width = max(pos_p.size for _, _, pos_p, _, _ in splits)
-    pos_p = np.ones((m, width))
-    pos_t = np.full((m, width), -np.inf)
-    zero = np.full(m, -np.inf)
-    for i, (_, _, ps, ts, zs) in enumerate(splits):
-        pos_p[i, : ps.size] = ps
-        pos_t[i, : ts.size] = ts
-        if zs.size:
-            zero[i] = zs.max()
+    exponents, coefficients = polys[..., 0], polys[..., 1]
+    neg = exponents < -ZERO_EXPONENT_TOL
+    pos = exponents > ZERO_EXPONENT_TOL
+    zero = np.where(neg | pos, -np.inf, coefficients).max(axis=1)
+    # Contiguous copies: the column selection leaves strided arrays, which
+    # slow the kernel.
+    cols = pos.any(axis=0)
+    pos_p = np.ascontiguousarray(np.where(pos, exponents, 1.0)[:, cols])
+    pos_t = np.ascontiguousarray(np.where(pos, coefficients, -np.inf)[:, cols])
+    width = pos_p.shape[1]
     cross = np.empty((m, m))
     no_zero = np.empty(0)
-    for i, (neg_p, neg_t, _, _, _) in enumerate(splits):
+    for i in range(m):
+        neg_p, neg_t = exponents[i, neg[i]], coefficients[i, neg[i]]
         rows = max(1, _KERNEL_BLOCK // max(1, neg_p.size * width))
         for k in range(0, m, rows):
             cross[i, k : k + rows] = pairwise_minimum_value(
@@ -191,8 +192,9 @@ def pair_minima(polys: Sequence[PuiseuxPoly]) -> np.ndarray:
     return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
 
 
-def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
-    """Greedy agglomerative minimization of delta(p) down to n groups.
+def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
+    """Greedy agglomerative minimization of delta(p) down to n groups, over
+    the (M, K, 2) array of error polynomials ``error_polynomials`` returns.
 
     A group's merged minimum is the largest pair minimum ``pair_minima``
     over its pairs of samples, so the search is complete-linkage clustering
@@ -200,8 +202,9 @@ def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
 
         score(A + B, C) = max(score(A, B), score(A, C), score(B, C)).
 
-    The cost per call is M^2/2 pair kernels for D plus O(M^2) float maxima;
-    ``poly_sum`` and ``min_poly`` run only on the n final blocks.  Pair
+    The cost per call is M^2/2 pair kernels of O(K^2) each for D, O(M^4)
+    for K = M, plus O(M^2 log M) heap operations; ``score_blocks`` builds
+    polynomials and runs ``min_poly`` only on the n final blocks.  Pair
     scores live in a lazy-deletion heap keyed by the quantized score and the
     deterministic tie-break key; entries whose clusters were already merged
     are skipped on pop.  Each block's exponent is the representative point
@@ -246,6 +249,4 @@ def agglomerate(polys: Sequence[PuiseuxPoly], n: int) -> ExponentResult:
             if sid != snew:
                 push(sid, snew, max(inner, row_a[sid], row_b[sid]))
 
-    return score_blocks(
-        (indices, poly_sum(polys[i] for i in sorted(indices))) for indices in members.values()
-    )
+    return score_blocks(members.values(), polys)

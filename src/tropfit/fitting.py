@@ -35,7 +35,7 @@ from .clustering import (
     score_blocks,
 )
 from .linalg import residuate
-from .puiseux import PuiseuxPoly, PuiseuxRational, poly_sum
+from .puiseux import PuiseuxPoly, PuiseuxRational
 
 #: Quantization for the repeated-snapshot test in fit_rational.
 SNAPSHOT_QUANTUM = 1e-9
@@ -159,7 +159,7 @@ def brute_force_poly_fit(samples: SampleSet, n: int) -> PolyFit:
     polys = error_polynomials(samples)
     best: ExponentResult | None = None
     for partition in _set_partitions(m, n):
-        result = score_blocks((b, poly_sum(polys[i] for i in b)) for b in partition)
+        result = score_blocks(partition, polys)
         if best is None or result.delta_star < best.delta_star:
             best = result
     return _poly_fit(samples, best)

@@ -72,14 +72,6 @@ class PuiseuxPoly:
         return len(self.monomials)
 
 
-def poly_sum(polys: Iterable[PuiseuxPoly]) -> PuiseuxPoly:
-    """Tropical sum (pointwise max) of polynomials: concatenate and merge."""
-    mons: list[tuple[float, float]] = []
-    for poly in polys:
-        mons.extend(poly.monomials)
-    return PuiseuxPoly(mons)
-
-
 @dataclass(frozen=True)
 class PuiseuxRational:
     """Tropical quotient numerator / denominator."""

@@ -1,10 +1,10 @@
 """Machine-readable fit reports and dataset ingestion.
 
-Reports serialize to JSON with floats rounded to 12 significant digits;
-4-decimal presentation is a display concern of consumers, not of the
-report.  Datasets are two-column CSV files, comma separated with a decimal
-point, and an optional single header line detected by a non-numeric first
-row.
+Reports serialize to JSON and CSV with floats at full round-trip precision,
+so a report evaluates to exactly the fitted function; rounding for
+presentation is a display concern of consumers, not of the report.
+Datasets are two-column CSV files, comma separated with a decimal point, and
+an optional single header line detected by a non-numeric first row.
 
 Fits in max-times mode are performed on log-transformed data; the report
 then carries exp-mapped coefficients and errors so every reported quantity
@@ -28,10 +28,6 @@ MODE_MAXPLUS = "maxplus"
 MODE_MAXTIMES = "maxtimes"
 
 POLY_STOP = "completed"
-
-
-def _sig12(v: float) -> float:
-    return float(f"{v:.12g}")
 
 
 def load_samples(path: str | Path) -> SampleSet:
@@ -100,17 +96,17 @@ class FitReport:
         if self.l is not None:
             out["l"] = self.l
         out["numerator"] = {
-            "exponents": [_sig12(v) for v in self.numerator_exponents],
-            "coefficients": [_sig12(v) for v in self.numerator_coefficients],
+            "exponents": [float(v) for v in self.numerator_exponents],
+            "coefficients": [float(v) for v in self.numerator_coefficients],
         }
         if self.is_rational:
             out["denominator"] = {
-                "exponents": [_sig12(v) for v in self.denominator_exponents],
-                "coefficients": [_sig12(v) for v in self.denominator_coefficients],
+                "exponents": [float(v) for v in self.denominator_exponents],
+                "coefficients": [float(v) for v in self.denominator_coefficients],
             }
-        out["delta_star"] = _sig12(self.delta_star)
-        out["chebyshev_error"] = _sig12(self.chebyshev_error)
-        out["trace"] = [[k, _sig12(d)] for k, d in self.trace]
+        out["delta_star"] = float(self.delta_star)
+        out["chebyshev_error"] = float(self.chebyshev_error)
+        out["trace"] = [[k, float(d)] for k, d in self.trace]
         out["stop_reason"] = self.stop_reason
         return out
 
@@ -128,18 +124,18 @@ class FitReport:
         for j, (p, t) in enumerate(
             zip(self.numerator_exponents, self.numerator_coefficients), start=1
         ):
-            lines.append((f"numerator_exponent_{j}", repr(_sig12(p))))
-            lines.append((f"numerator_coefficient_{j}", repr(_sig12(t))))
+            lines.append((f"numerator_exponent_{j}", repr(float(p))))
+            lines.append((f"numerator_coefficient_{j}", repr(float(t))))
         if self.is_rational:
             for j, (p, t) in enumerate(
                 zip(self.denominator_exponents, self.denominator_coefficients), start=1
             ):
-                lines.append((f"denominator_exponent_{j}", repr(_sig12(p))))
-                lines.append((f"denominator_coefficient_{j}", repr(_sig12(t))))
-        lines.append(("delta_star", repr(_sig12(self.delta_star))))
-        lines.append(("chebyshev_error", repr(_sig12(self.chebyshev_error))))
+                lines.append((f"denominator_exponent_{j}", repr(float(p))))
+                lines.append((f"denominator_coefficient_{j}", repr(float(t))))
+        lines.append(("delta_star", repr(float(self.delta_star))))
+        lines.append(("chebyshev_error", repr(float(self.chebyshev_error))))
         for k, d in self.trace:
-            lines.append((f"delta_{k}", repr(_sig12(d))))
+            lines.append((f"delta_{k}", repr(float(d))))
         lines.append(("stop_reason", self.stop_reason))
         return "\n".join(f"{k},{v}" for k, v in lines) + "\n"
 
@@ -204,7 +200,14 @@ def _monomial_lists(data: dict, part: str) -> tuple[tuple, tuple]:
 
 
 def _map_mode(value: float, mode: str) -> float:
-    return math.exp(value) if mode == MODE_MAXTIMES else value
+    if mode != MODE_MAXTIMES:
+        return value
+    try:
+        return math.exp(value)
+    except OverflowError:
+        raise ValueError(
+            f"max-times value exp({value!r}) overflows the float range"
+        ) from None
 
 
 def report_from_poly_fit(fit: PolyFit, mode: str) -> FitReport:

@@ -4,11 +4,15 @@ These deliberately avoid the library's solver code paths: grid searches and
 exhaustive enumerations check the closed forms, and pure-Python loops over
 floats (``matvec``, ``chebyshev``, ``monomial_matrix``) check the numpy
 kernels.  Vectors and matrices are float arrays or nested lists with -inf as
-the tropical zero, as in the library.  The one exception is
-``agglomerate_by_merging``, the exponent search written from its definition:
-it shares the mu kernel and the heap keys with ``agglomerate`` but rebuilds
-and rescores merged polynomials after every merge, so the complete-linkage
-updates on pair minima must agree with it bit for bit.
+the tropical zero, as in the library.  The exponent search's references work
+on ``PuiseuxPoly`` objects where the library works on one float array: one
+polynomial per sample (``sample_polynomials``), tropical sums by
+concatenation (``poly_sum``) and subset minima by ``min_poly`` of the sum
+(``merged_minimum``).  ``agglomerate_by_merging`` is the exponent search
+written from its definition: it shares the mu kernel and the heap keys with
+``agglomerate`` but rebuilds and rescores merged polynomials after every
+merge, so the complete-linkage updates on pair minima must agree with it bit
+for bit.
 """
 
 import heapq
@@ -17,8 +21,8 @@ import math
 
 import numpy as np
 
-from tropfit import SampleSet, poly_sum
-from tropfit.clustering import SCORE_QUANTUM, score_blocks
+from tropfit import PuiseuxPoly, SampleSet, min_poly
+from tropfit.clustering import SCORE_QUANTUM, ExponentResult, Partition, PartitionBlock
 from tropfit.puiseux import _split_by_sign, pairwise_minimum_value
 
 
@@ -113,6 +117,28 @@ def convex_sampleset(rng, m, n):
     return SampleSet(xs, ys), monomials
 
 
+def sample_polynomials(samples):
+    """One ``PuiseuxPoly`` per sample: E_i has monomials (x_j - x_i, y_i - y_j)."""
+    xs, ys = samples.xs, samples.ys
+    return tuple(
+        PuiseuxPoly((xj - xi, yi - yj) for xj, yj in zip(xs, ys))
+        for xi, yi in zip(xs, ys)
+    )
+
+
+def poly_sum(polys):
+    """Tropical sum (pointwise max) of polynomials: concatenate and merge."""
+    return PuiseuxPoly([mon for poly in polys for mon in poly.monomials])
+
+
+def merged_minimum(subset, polys):
+    """``min_poly`` of the tropical sum of the subset's polynomials."""
+    indices = sorted(set(subset))
+    if not indices:
+        raise ValueError("subset must be nonempty")
+    return min_poly(poly_sum(polys[i] for i in indices))
+
+
 class _Cluster:
     """Mutable working state: index set, merged polynomial, sign-split arrays."""
 
@@ -140,10 +166,12 @@ def _pair_score(a, b):
 
 
 def agglomerate_by_merging(polys, n):
-    """Reference greedy search: every candidate pair is scored by the mu
-    formula on the concatenation of the two clusters' merged polynomials,
-    and a merge builds the merged polynomial with ``poly_sum``.  Same heap
-    keys and tie-break as ``clustering.agglomerate``."""
+    """Reference greedy search over ``sample_polynomials``: every candidate
+    pair is scored by the mu formula on the concatenation of the two
+    clusters' merged polynomials, and a merge builds the merged polynomial
+    with ``poly_sum``.  Same heap keys and tie-break as
+    ``clustering.agglomerate``; each final block is scored by ``min_poly`` of
+    its merged polynomial."""
     m = len(polys)
     if not 1 <= n <= m:
         raise ValueError(f"group count must be in 1..{m}, got {n}")
@@ -174,4 +202,10 @@ def agglomerate_by_merging(polys, n):
             if sid != serial:
                 push(sid, serial)
         serial += 1
-    return score_blocks((c.indices, c.poly) for c in clusters.values())
+    blocks = [
+        PartitionBlock(c.indices, c.poly, min_poly(c.poly))
+        for c in sorted(clusters.values(), key=lambda c: c.least)
+    ]
+    minima = tuple(b.minimum.mu for b in blocks)
+    exponents = tuple(b.minimum.representative() for b in blocks)
+    return ExponentResult(exponents, minima, max(minima), Partition(tuple(blocks)))

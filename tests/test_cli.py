@@ -105,7 +105,7 @@ def test_fit_rational_report(capsys, fixture_csv):
     assert report.stop_reason in {"converged-within-epsilon", "cycle", "iteration-cap"}
 
 
-def test_report_roundtrips_at_12_digits(capsys, fixture_csv):
+def test_report_roundtrips(capsys, fixture_csv):
     code, out, _ = run(
         capsys, ["fit", "rational", str(fixture_csv), "--n", "3", "--l", "2"]
     )
@@ -113,6 +113,24 @@ def test_report_roundtrips_at_12_digits(capsys, fixture_csv):
     report = FitReport.from_json(out)
     again = FitReport.from_json(report.to_json())
     assert again == report
+
+
+def test_report_evaluates_to_the_fitted_function(capsys, tmp_path):
+    """At abscissae near 1e6 the saved report misses the samples by its own
+    chebyshev_error, so its floats carry the fit's full precision."""
+    xs = [1e6 + d for d in (0.0, 0.1, 0.2, 0.3)]
+    ys = [1.0, 2.0, 1.5, 3.0]
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    code, out, _ = run(capsys, ["fit", "rational", str(data), "--n", "2", "--l", "2"])
+    assert code == 0
+    report_path = tmp_path / "r.json"
+    report_path.write_text(out)
+    code, curve, _ = run(capsys, ["eval", str(report_path), *map(repr, xs)])
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in curve.strip().splitlines()[1:]]
+    residual = max(abs(v - y) for v, y in zip(values, ys))
+    assert residual == pytest.approx(FitReport.from_json(out).chebyshev_error, abs=1e-9)
 
 
 def test_fit_reports_are_deterministic(capsys, fixture_csv):
@@ -149,6 +167,37 @@ def test_maxtimes_mode_rejects_nonpositive(capsys, tmp_path):
     data.write_text("0.0,1.0\n1.0,2.0\n")
     code, _, err = run(capsys, ["fit", "poly", str(data), "--n", "1", "--mode", "maxtimes"])
     assert code == 2 and "positive" in err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["-1e308,0\n1e308,0\n0,0\n", "0,-1e308\n1,1e308\n2,0\n"],
+    ids=["abscissae", "ordinates"],
+)
+def test_fit_rejects_differences_beyond_float_range(capsys, tmp_path, rows):
+    data = tmp_path / "d.csv"
+    data.write_text(rows)
+    code, _, err = run(capsys, ["fit", "poly", str(data), "--n", "1"])
+    assert code == 2 and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "rows, point",
+    [("2,1e300\n3,1\n", None), ("1,1\n2,8\n3,27\n4,64\n", "1e300")],
+    ids=["fit-coefficient", "eval-value"],
+)
+def test_maxtimes_overflow_exits_2(capsys, tmp_path, rows, point):
+    """exp of a log-domain coefficient or value beyond the float range is an
+    input error, in ``fit`` and in ``eval`` of a report that fitted fine."""
+    data = tmp_path / "d.csv"
+    data.write_text(rows)
+    code, out, err = run(capsys, ["fit", "poly", str(data), "--n", "1", "--mode", "maxtimes"])
+    if point is not None:
+        assert code == 0
+        report_path = tmp_path / "r.json"
+        report_path.write_text(out)
+        code, _, err = run(capsys, ["eval", str(report_path), point])
+    assert code == 2 and "overflow" in err
 
 
 def test_maxtimes_mode_maps_coefficients(capsys, tmp_path):

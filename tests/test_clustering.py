@@ -1,6 +1,6 @@
-"""Exponent search: per-sample error polynomials, subset minima, the
-greedy agglomeration against hand-derived and exhaustive results, and the
-two max/min identities the search rests on."""
+"""Exponent search: the error-polynomial array, subset minima, the greedy
+agglomeration against hand-derived, exhaustive and object-based reference
+results, and the two max/min identities the search rests on."""
 
 import itertools
 import math
@@ -10,14 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfit import (
-    PuiseuxPoly,
-    SampleSet,
-    agglomerate,
-    best_approx_solve,
-    error_polynomials,
-    merged_minimum,
-)
+from tropfit import SampleSet, agglomerate, best_approx_solve, error_polynomials
 from tropfit.clustering import pair_minima
 
 from oracles import (
@@ -27,8 +20,10 @@ from oracles import (
     convex_sampleset,
     grid_min,
     matvec,
+    merged_minimum,
     monomial_matrix,
     random_sampleset,
+    sample_polynomials,
 )
 
 THREE_POINTS = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
@@ -48,36 +43,39 @@ def test_sampleset_validation():
 
 def test_error_polynomials_two_samples():
     polys = error_polynomials(SampleSet([0.0, 1.0], [0.0, 2.0]))
-    assert polys[0].monomials == ((0.0, 0.0), (1.0, -2.0))
-    assert polys[1].monomials == ((-1.0, 2.0), (0.0, 0.0))
+    assert polys.dtype == np.float64
+    assert polys.tolist() == [[[0.0, 0.0], [1.0, -2.0]], [[-1.0, 2.0], [0.0, 0.0]]]
 
 
 def test_error_polynomials_single_sample():
-    (poly,) = error_polynomials(SampleSet([5.0], [3.0]))
-    assert poly.monomials == ((0.0, 0.0),)
+    assert error_polynomials(SampleSet([5.0], [3.0])).tolist() == [[[0.0, 0.0]]]
 
 
 def test_error_polynomials_duplicate_abscissae():
     polys = error_polynomials(SampleSet([1.0, 1.0], [0.0, 3.0]))
-    # exponent 0 carries max(0, 0-3) for the first sample
-    assert polys[0].monomials == ((0.0, 0.0),)
-    assert polys[1].monomials == ((0.0, 3.0),)
+    # rows keep one monomial per sample; the block polynomial merges them by
+    # coefficient max, so exponent 0 carries max(0, 0-3) for the first sample
+    assert polys.tolist() == [[[0.0, 0.0], [0.0, -3.0]], [[0.0, 3.0], [0.0, 0.0]]]
+    blocks = agglomerate(polys, 2).partition.blocks
+    assert [b.poly.monomials for b in blocks] == [((0.0, 0.0),), ((0.0, 3.0),)]
 
 
 def test_error_polynomials_contain_unit_monomial():
     samples = random_sampleset(np.random.default_rng(7), 6)
-    for poly in error_polynomials(samples):
-        assert (0.0, 0.0) in poly.monomials
+    polys = error_polynomials(samples)
+    assert polys.shape == (6, 6, 2)
+    for i, row in enumerate(polys.tolist()):
+        assert row[i] == [0.0, 0.0]
 
 
 def test_merged_minimum_singleton_on_hull():
-    polys = error_polynomials(SampleSet([0.0, 1.0], [0.0, 2.0]))
+    polys = sample_polynomials(SampleSet([0.0, 1.0], [0.0, 2.0]))
     for i in range(2):
         assert merged_minimum([i], polys).mu == pytest.approx(0.0, abs=1e-12)
 
 
 def test_merged_minimum_three_point_examples():
-    polys = error_polynomials(THREE_POINTS)
+    polys = sample_polynomials(THREE_POINTS)
     pm = merged_minimum([0, 2], polys)
     assert pm.mu == pytest.approx(0.0, abs=1e-12)
     assert pm.lower == pytest.approx(0.0, abs=1e-12)
@@ -97,7 +95,7 @@ def test_merge_monotonicity(rng):
     for _ in range(30):
         m = int(rng.integers(2, 8))
         samples = random_sampleset(rng, m)
-        polys = error_polynomials(samples)
+        polys = sample_polynomials(samples)
         idx = list(range(m))
         rng.shuffle(idx)
         cut = int(rng.integers(1, m))
@@ -127,13 +125,13 @@ def test_agglomerate_all_singletons():
 
 
 def test_agglomerate_three_point_example():
-    polys = error_polynomials(THREE_POINTS)
-    res = agglomerate(polys, 2)
+    res = agglomerate(error_polynomials(THREE_POINTS), 2)
     assert res.partition.index_sets() == ((0, 2), (1,))
     assert res.exponents == pytest.approx((0.0, 0.0), abs=1e-12)
     assert res.delta_star == pytest.approx(1.0, abs=1e-12)
 
     # exhaustive check over the three two-block partitions
+    polys = sample_polynomials(THREE_POINTS)
     best = min(
         max(merged_minimum(block, polys).mu for block in partition)
         for partition in ([[0, 1], [2]], [[0, 2], [1]], [[0], [1, 2]])
@@ -175,7 +173,7 @@ def test_agglomerate_invariant_delta_is_max_of_minima(rng):
 def test_agglomerate_rejects_unattained_merged_minimum():
     # both exponents positive and no zero exponent: the merged minimum is -inf
     with pytest.raises(ValueError, match="unattained"):
-        agglomerate([PuiseuxPoly([(1.0, 0.0)]), PuiseuxPoly([(2.0, 0.0)])], 1)
+        agglomerate(np.array([[[1.0, 0.0]], [[2.0, 0.0]]]), 1)
 
 
 @st.composite
@@ -198,9 +196,10 @@ def test_agglomerate_matches_merging_reference(samples):
     """Complete-linkage updates on the pair minima reproduce the search that
     rebuilds and rescores merged polynomials, bit for bit, at every n."""
     polys = error_polynomials(samples)
+    objects = sample_polynomials(samples)
     for n in range(1, len(samples) + 1):
         fast = agglomerate(polys, n)
-        ref = agglomerate_by_merging(polys, n)
+        ref = agglomerate_by_merging(objects, n)
         assert fast.partition.index_sets() == ref.partition.index_sets()
         assert fast.exponents == ref.exponents
         assert fast.subset_minima == ref.subset_minima
@@ -210,9 +209,12 @@ def test_agglomerate_matches_merging_reference(samples):
 @settings(max_examples=30, deadline=None)
 @given(tie_heavy_samplesets(), st.data())
 def test_merged_minimum_is_max_of_pair_minima(samples, data):
-    polys = error_polynomials(samples)
-    d = pair_minima(polys)
+    d = pair_minima(error_polynomials(samples))
+    polys = sample_polynomials(samples)
     m = len(samples)
+    for i in range(m):
+        for k in range(m):
+            assert d[i, k] == merged_minimum({i, k}, polys).mu
     for _ in range(5):
         subset = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
         expected = max(d[i][k] for i in subset for k in subset)

@@ -15,7 +15,15 @@ from tropfit import (
     fit_rational,
 )
 
-from oracles import chebyshev, convex_sampleset, matvec, monomial_matrix, random_sampleset
+from oracles import (
+    chebyshev,
+    convex_sampleset,
+    matvec,
+    merged_minimum,
+    monomial_matrix,
+    random_sampleset,
+    sample_polynomials,
+)
 
 THREE_POINTS = SampleSet([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
 
@@ -90,10 +98,7 @@ def test_brute_force_three_points():
 def test_brute_force_singletons_and_single_block():
     two = SampleSet([0.0, 1.0], [0.0, 2.0])
     assert brute_force_poly_fit(two, 2).delta_star == pytest.approx(0.0, abs=1e-12)
-    from tropfit import error_polynomials, merged_minimum
-
-    polys = error_polynomials(THREE_POINTS)
-    full = merged_minimum([0, 1, 2], polys)
+    full = merged_minimum([0, 1, 2], sample_polynomials(THREE_POINTS))
     assert brute_force_poly_fit(THREE_POINTS, 1).delta_star == pytest.approx(full.mu, abs=1e-12)
 
 

