@@ -103,6 +103,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} must be a finite number, got {value!r}")
     if not args.start < args.stop:
         raise ValueError("--from must be less than --to")
+    if not math.isfinite(args.stop - args.start):
+        raise ValueError("the --from/--to range overflows the float range")
     step = (args.stop - args.start) / (args.steps - 1)
     points = [args.start + i * step for i in range(args.steps)]
     _emit_curve(evaluator(_load_report(args.report)), points)

@@ -35,6 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .linalg import check_count
 from .puiseux import (
     ZERO_EXPONENT_TOL,
     PolyMinimum,
@@ -211,8 +212,7 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
     of its minimizing interval.
     """
     m = len(polys)
-    if not 1 <= n <= m:
-        raise ValueError(f"group count must be in 1..{m}, got {n}")
+    check_count(n, "group count", m)
 
     members: dict[int, list[int]] = {i: [i] for i in range(m)}
     least = list(range(m))

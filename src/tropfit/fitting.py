@@ -7,23 +7,22 @@ the coefficient vector by residuation:
 
 so the fitted polynomial misses the data by the Chebyshev error delta*/2.
 
-Rational fitting alternates polynomial fits of the numerator and denominator.
-With Y = diag(y) the two-sided equation X(p) theta = Y Z(q) sigma splits into
-one-sided problems with moving targets: odd half-steps fit the numerator to
-b_k = Y Z(q) sigma, even half-steps fit the denominator to a_k = Y^-1 X(p)
-theta.  The squared error sequence of the alternation is not monotone (the
-exponent search is a heuristic, and underparameterized fits oscillate), so
-the driver keeps every half-step's parameter snapshot and returns the best
-one seen.  It stops early when the squared error falls within the configured
-tolerance or when a parameter snapshot repeats (the alternation is then
-cycling and cannot produce new candidates); otherwise it runs to the
-iteration cap.
+Rational fitting alternates polynomial fits of the numerator and denominator
+through ``linalg.alternate``.  With Y = diag(y) the two-sided equation
+X(p) theta = Y Z(q) sigma splits into one-sided problems with moving
+targets: odd half-steps fit the numerator to b_k = Y Z(q) sigma, even
+half-steps fit the denominator to a_k = Y^-1 X(p) theta.  The squared error
+sequence is not monotone (the exponent search is a heuristic, and
+underparameterized fits oscillate), so the driver returns the best
+half-step's parameters, not the last.  It stops when the squared error is
+within the configured tolerance, when the parameters of numerator and
+denominator repeat, or at the iteration cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -34,19 +33,13 @@ from .clustering import (
     error_polynomials,
     score_blocks,
 )
-from .linalg import residuate
+from .linalg import alternate, check_count, matvec, residuate
+from .linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE  # noqa: F401  (fit API names)
 from .puiseux import PuiseuxPoly, PuiseuxRational
-
-#: Quantization for the repeated-snapshot test in fit_rational.
-SNAPSHOT_QUANTUM = 1e-9
 
 #: Brute-force oracle size limits.
 BRUTE_FORCE_MAX_SAMPLES = 8
 BRUTE_FORCE_MAX_MONOMIALS = 3
-
-STOP_CONVERGED = "converged-within-epsilon"
-STOP_CYCLE = "cycle"
-STOP_CAP = "iteration-cap"
 
 
 @dataclass(frozen=True)
@@ -59,12 +52,10 @@ class FitConfig:
     iteration_cap: int = 200
 
     def __post_init__(self):
-        if self.n < 1 or self.l < 1:
-            raise ValueError("monomial counts must be at least 1")
+        for name in ("n", "l", "iteration_cap"):
+            check_count(getattr(self, name), name)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.iteration_cap < 1:
-            raise ValueError("iteration cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -111,8 +102,7 @@ def _poly_fit(samples: SampleSet, result: ExponentResult) -> PolyFit:
 
 def fit_polynomial(samples: SampleSet, n: int) -> PolyFit:
     """Fit an n-monomial max-plus polynomial minimizing the Chebyshev error."""
-    if not 1 <= n <= len(samples):
-        raise ValueError(f"monomial count must be in 1..{len(samples)}, got {n}")
+    check_count(n, "monomial count", len(samples))
     return _poly_fit(samples, agglomerate(error_polynomials(samples), n))
 
 
@@ -154,8 +144,7 @@ def brute_force_poly_fit(samples: SampleSet, n: int) -> PolyFit:
             f"oracle limited to M <= {BRUTE_FORCE_MAX_SAMPLES}, "
             f"N <= {BRUTE_FORCE_MAX_MONOMIALS}"
         )
-    if not 1 <= n <= m:
-        raise ValueError(f"monomial count must be in 1..{m}, got {n}")
+    check_count(n, "monomial count", m)
     polys = error_polynomials(samples)
     best: ExponentResult | None = None
     for partition in _set_partitions(m, n):
@@ -165,80 +154,35 @@ def brute_force_poly_fit(samples: SampleSet, n: int) -> PolyFit:
     return _poly_fit(samples, best)
 
 
-def _quantize(vectors: Sequence[Sequence[float]], parity: int) -> tuple:
-    return tuple(
-        round(v / SNAPSHOT_QUANTUM) for vec in vectors for v in vec
-    ) + (parity,)
-
-
 def fit_rational(samples: SampleSet, config: FitConfig) -> RationalFit:
     """Fit a rational function (ratio of n- and l-monomial polynomials).
 
     The denominator starts as the constant identity (q_0 = sigma_0 = all
     zeros), so the first target is the raw data.  See the module docstring
     for the stopping behaviour; the returned parameters are the best
-    half-step snapshot, whose recomputed squared error equals ``delta_star``.
+    half-step's, whose recomputed squared error equals ``delta_star``.
     """
-    m = len(samples)
-    if not 1 <= config.n <= m or not 1 <= config.l <= m:
-        raise ValueError(f"monomial counts must be in 1..{m}")
-    xs, ys = samples.xs, samples.ys
+    check_count(config.n, "n", len(samples))
+    check_count(config.l, "l", len(samples))
+    xs, ys = np.array(samples.xs), np.array(samples.ys)
 
-    num_p: tuple[float, ...] = ()
-    num_t: tuple[float, ...] = ()
-    den_q: tuple[float, ...] = (0.0,) * config.l
-    den_s: tuple[float, ...] = (0.0,) * config.l
+    def values(exponents, coefficients) -> np.ndarray:
+        return matvec(np.multiply.outer(xs, exponents), coefficients)
 
-    trace: list[tuple[int, float]] = []
-    best: tuple[float, int, tuple] | None = None
-    seen: set[tuple] = set()
-    reason = STOP_CAP
-    k = 0
-    while k < config.iteration_cap:
-        k += 1
-        if k % 2 == 1:
-            target = [
-                y + max(q * x + s for q, s in zip(den_q, den_s))
-                for x, y in zip(xs, ys)
-            ]
-            fit = fit_polynomial(SampleSet(xs, target), config.n)
-            num_p = fit.exponent_result.exponents
-            num_t = fit.coefficients
-        else:
-            target = [
-                -y + max(p * x + t for p, t in zip(num_p, num_t))
-                for x, y in zip(xs, ys)
-            ]
-            fit = fit_polynomial(SampleSet(xs, target), config.l)
-            den_q = fit.exponent_result.exponents
-            den_s = fit.coefficients
-        delta = fit.delta_star
-        trace.append((k, delta))
-        snapshot = (num_p, num_t, den_q, den_s)
-        if best is None or delta < best[0]:
-            best = (delta, k, snapshot)
-        if delta <= config.epsilon:
-            # necessarily the best snapshot: earlier deltas exceeded epsilon
-            reason = STOP_CONVERGED
-            break
-        key = _quantize(snapshot, k % 2)
-        if key in seen:
-            reason = STOP_CYCLE
-            break
-        seen.add(key)
+    def fit_numerator(target: np.ndarray):
+        fit = fit_polynomial(SampleSet(samples.xs, target), config.n)
+        p, t = fit.exponent_result.exponents, fit.coefficients
+        return fit.delta_star, (p, t), values(p, t) - ys
 
-    assert best is not None
-    delta_star, _, (num_p, num_t, den_q, den_s) = best
-    rational = PuiseuxRational(
-        PuiseuxPoly(zip(num_p, num_t)), PuiseuxPoly(zip(den_q, den_s))
+    def fit_denominator(target: np.ndarray):
+        fit = fit_polynomial(SampleSet(samples.xs, target), config.l)
+        q, s = fit.exponent_result.exponents, fit.coefficients
+        return fit.delta_star, (q, s), ys + values(q, s)
+
+    zeros = (0.0,) * config.l
+    delta_star, (num_p, num_t), (den_q, den_s), trace, reason = alternate(
+        fit_numerator, fit_denominator, (zeros, zeros), ys + values(zeros, zeros),
+        config.epsilon, config.iteration_cap,
     )
-    return RationalFit(
-        rational,
-        delta_star,
-        tuple(trace),
-        reason,
-        num_p,
-        num_t,
-        den_q,
-        den_s,
-    )
+    rational = PuiseuxRational(PuiseuxPoly(zip(num_p, num_t)), PuiseuxPoly(zip(den_q, den_s)))
+    return RationalFit(rational, delta_star, trace, reason, num_p, num_t, den_q, den_s)

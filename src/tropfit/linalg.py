@@ -1,6 +1,6 @@
 """Max-plus matrix-vector algebra on float64 arrays, the Chebyshev-type
-distance, and best-approximate solvers for one- and two-sided linear
-equations.
+distance, best-approximate solvers for one- and two-sided linear equations,
+and the alternation driver behind two-sided solving and rational fitting.
 
 Vectors and matrices are numpy float64 arrays.  The tropical zero ``ZERO``
 is IEEE -inf and the unit ``ONE`` is 0, so max-plus addition is ``max`` and
@@ -14,14 +14,18 @@ The one-sided solver rests on residuation: for regular A and b the vector
 
 is the squared best-approximation error of A x = b, and sqrt(delta) (b- A)-
 attains it.  ``residuate`` computes both for fitting and for the solvers.
-The two-sided equation A x = B y is handled by alternating one-sided solves
-until the error hits ONE or an iterate repeats.
+Two-sided equations are handled by ``alternate``, which fixes one side,
+fits the other to it and repeats: ``alternating_solve`` runs it on fixed
+matrices and ``fitting.fit_rational`` with an exponent search per half-step.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +35,14 @@ ZERO = -math.inf
 ONE = 0.0
 INFINITE = math.inf
 
-#: Quantization step for the iterate-repetition test in alternating_solve.
+#: Why an alternation stopped.
+STOP_CONVERGED = "converged-within-epsilon"
+STOP_CYCLE = "cycle"
+STOP_CAP = "iteration-cap"
+
+#: Quantization step for the repeated-parameters test in ``alternate``.
 #: Exact float equality would be defeated by accumulated rounding drift.
-CYCLE_QUANTUM = 1e-12
+CYCLE_QUANTUM = 1e-9
 
 #: Tolerance below which a squared error counts as exactly ONE.
 EXACT_TOL = 1e-9
@@ -87,6 +96,15 @@ def _vector(v, n: int, name: str) -> np.ndarray:
     return v
 
 
+def check_count(value, what: str, most: float = math.inf) -> None:
+    """ValueError unless ``value`` is an integer in 1..most; numpy integers
+    count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not 1 <= value <= most:
+        raise ValueError(f"{what} must be in 1..{most}, got {value}")
+
+
 @dataclass(frozen=True)
 class ApproxSolution:
     """Best approximate solution of A x = b with squared error delta."""
@@ -109,6 +127,47 @@ def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return delta, xhat
 
 
+def alternate(
+    fit_left: Callable, fit_right: Callable, right, target: np.ndarray, tol: float, cap: int
+) -> tuple:
+    """Alternate half-steps until the error is within ``tol``, the parameters
+    repeat, or ``cap`` half-steps have run.
+
+    Each ``fit_*`` maps a target vector to (squared error, parameters of its
+    side, values of its side), and those values are the next target.  Odd
+    half-steps k = 1, 3, ... fit the left side, even ones the right side;
+    ``right`` is the right side's start and ``target`` its values.  Returns
+    the best half-step's squared error and parameters of both sides (strict
+    ``<``: the earliest wins ties), the trace of (k, squared error) and the
+    stop reason: STOP_CONVERGED once an error is at most ``tol``, STOP_CYCLE
+    when the parameters of both sides, flattened and quantized to
+    CYCLE_QUANTUM, repeat at the same parity, else STOP_CAP.
+    """
+    trace: list[tuple[int, float]] = []
+    best = None
+    seen: set[tuple] = set()
+    reason = STOP_CAP
+    for k in range(1, cap + 1):
+        if k % 2:
+            delta, left, target = fit_left(target)
+        else:
+            delta, right, target = fit_right(target)
+        trace.append((k, delta))
+        if best is None or delta < best[0]:
+            best = (delta, left, right)
+        if delta <= tol:
+            # necessarily the best half-step: earlier errors exceeded tol
+            reason = STOP_CONVERGED
+            break
+        flat = np.concatenate((np.ravel(left), np.ravel(right))).tolist()
+        key = tuple(round(v / CYCLE_QUANTUM) for v in flat) + (k % 2,)
+        if key in seen:
+            reason = STOP_CYCLE
+            break
+        seen.add(key)
+    return (*best, tuple(trace), reason)
+
+
 def best_approx_solve(a, b) -> ApproxSolution:
     """Solve A x = b in the best-approximation sense.
 
@@ -129,49 +188,34 @@ class TwoSidedSolution:
     delta: float
     x: np.ndarray
     y: np.ndarray
-    reason: str  # "exact" | "cycle" | "iteration-cap"
+    reason: str  # STOP_CONVERGED | STOP_CYCLE | STOP_CAP
 
 
-def _quantize(v: np.ndarray) -> tuple[int, ...]:
-    return tuple(round(e / CYCLE_QUANTUM) for e in v.tolist())
+def _solve_side(m: np.ndarray, target: np.ndarray) -> tuple:
+    """Half-step of alternating_solve: delta, v and M v for M v = target."""
+    delta, vhat = residuate(m, target)
+    v = delta / 2 + vhat
+    return delta, v, matvec(m, v)
 
 
 def alternating_solve(a, b, x0=None, max_iter: int = 10_000) -> TwoSidedSolution:
     """Best approximate solution of the two-sided equation A x = B y.
 
-    Alternates one-sided solves: fix x and solve B y = A x for y, then fix y
-    and solve A x = B y for x, tracking the squared error delta at each half
-    step.  Terminates when delta reaches ONE (exact solution) or when a newly
-    produced vector repeats an earlier one of the same side, which the error
-    sequence cannot escape.  Vectors are compared after quantization to
-    CYCLE_QUANTUM so rounding drift cannot defeat the repetition test.  The
-    iteration cap guards against non-termination under float noise and is
-    reported as its own outcome.  The start x0 defaults to the all-ONE
-    vector.
+    Alternates one-sided solves through ``alternate``: fix x and solve
+    B y = A x for y, then fix y and solve A x = B y for x.  Returns the best
+    half-step's vectors and squared error.  It stops as converged when the
+    squared error is within EXACT_TOL of ONE (an exact solution), as a cycle
+    when x and y repeat, which the error sequence cannot escape, or after
+    ``max_iter`` rounds of two half-steps.  The start x0 defaults to the
+    all-ONE vector.
     """
     a, b = _matrix(a, "A"), _matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise ValueError("A and B must have the same number of rows")
     n = a.shape[1]
     x = np.full(n, ONE) if x0 is None else _vector(x0, n, "x0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_count(max_iter, "max_iter")
 
-    seen = {(1, _quantize(x))}
-    reason = "iteration-cap"
-    for k in range(2 * max_iter):
-        if k % 2 == 0:
-            delta, yhat = residuate(b, matvec(a, x))
-            y = new = delta / 2 + yhat
-        else:
-            delta, xhat = residuate(a, matvec(b, y))
-            x = new = delta / 2 + xhat
-        if abs(delta) <= EXACT_TOL:
-            reason = "exact"
-            break
-        key = (k % 2, _quantize(new))
-        if key in seen:
-            reason = "cycle"
-            break
-        seen.add(key)
+    solve_y, solve_x = partial(_solve_side, b), partial(_solve_side, a)
+    delta, y, x, _, reason = alternate(solve_y, solve_x, x, matvec(a, x), EXACT_TOL, 2 * max_iter)
     return TwoSidedSolution(delta, x, y, reason)

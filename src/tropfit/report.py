@@ -248,6 +248,7 @@ def evaluator(report: FitReport) -> Callable[[float], float]:
 
     Max-times reports are evaluated in the log domain: coefficients and the
     argument are logged, and the max-plus value is mapped back with exp.
+    A value that overflows the float range raises ValueError.
     """
     maxtimes = report.mode == MODE_MAXTIMES
 
@@ -262,13 +263,16 @@ def evaluator(report: FitReport) -> Callable[[float], float]:
         den = poly(report.denominator_exponents, report.denominator_coefficients)
 
     def apply(x: float) -> float:
+        t = x
         if maxtimes:
             if x <= 0:
                 raise ValueError("max-times arguments must be positive")
-            x = math.log(x)
-        value = eval_poly(num, x)
+            t = math.log(x)
+        value = eval_poly(num, t)
         if den is not None:
-            value -= eval_poly(den, x)
+            value -= eval_poly(den, t)
+        if not math.isfinite(value):
+            raise ValueError(f"the fitted value at {x!r} overflows the float range")
         return _map_mode(value, report.mode)
 
     return apply

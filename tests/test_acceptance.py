@@ -48,6 +48,22 @@ FIXTURE_TABLE = [
 # Reference squared errors of the rational fits.
 ERROR_TABLE = {(2, 2): 0.3099, (3, 3): 0.1158, (4, 4): 0.0590, (5, 3): 0.0370, (6, 5): 0.0113}
 
+# The alternation record of the same fits and of (7, 5): stop reason,
+# half-steps run, and the first half-step whose error equals delta_star.
+ALTERNATION_RECORD = {
+    (2, 2): ("iteration-cap", 200, 4),
+    (3, 3): ("iteration-cap", 200, 92),
+    (4, 4): ("iteration-cap", 200, 182),
+    (5, 3): ("cycle", 14, 11),
+    (6, 5): ("iteration-cap", 200, 12),
+    (7, 5): ("converged-within-epsilon", 57, 57),
+}
+
+
+def alternation_record(report: FitReport) -> tuple[str, int, int]:
+    best = next(k for k, delta in report.trace if delta == report.delta_star)
+    return report.stop_reason, len(report.trace), best
+
 
 def report_line(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -107,18 +123,22 @@ def test_criterion_2_error_table(fixture_csv):
                 f"acceptance 2: (N={n},L={l}) diverged from reference value: "
                 f"achieved {achieved:.6f} vs {expected}; trace={report.trace[:12]}"
             )
-        ok = within and elapsed < 5.0
+        record = alternation_record(report)
+        ok = within and elapsed < 5.0 and record == ALTERNATION_RECORD[n, l]
         report_line(
             f"2 error table (N={n},L={l})",
             ok,
-            f"delta*={achieved:.4f} vs {expected}, {elapsed:.2f} s",
+            f"delta*={achieved:.4f} vs {expected}, {elapsed:.2f} s, record {record}",
         )
         all_ok = all_ok and ok
 
     report, elapsed = _rational_delta(fixture_csv, 7, 5)
-    ok = report.delta_star < 1e-4 and elapsed < 5.0
+    record = alternation_record(report)
+    ok = report.delta_star < 1e-4 and elapsed < 5.0 and record == ALTERNATION_RECORD[7, 5]
     report_line(
-        "2 error table (N=7,L=5)", ok, f"delta*={report.delta_star:.2e} < 1e-4, {elapsed:.2f} s"
+        "2 error table (N=7,L=5)",
+        ok,
+        f"delta*={report.delta_star:.2e} < 1e-4, {elapsed:.2f} s, record {record}",
     )
     assert all_ok and ok
 

@@ -348,6 +348,26 @@ def test_nonfinite_arguments_exit_2(capsys, tmp_path, args, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "1e308"], "overflows"),
+        (["eval", "0", "-1e308"], "overflows"),
+        (["sample", "--from", "-1e308", "--to", "1e308", "--steps", "3"],
+         "--from/--to range overflows"),
+    ],
+    ids=["eval-large", "eval-large-negative", "sample-range"],
+)
+def test_maxplus_overflow_exits_2(capsys, fixture_csv, tmp_path, args, message):
+    path = tmp_path / "fit.json"
+    code, out, _ = run(capsys, ["fit", "rational", str(fixture_csv), "--n", "2", "--l", "2"])
+    assert code == 0
+    path.write_text(out)
+    code, out, err = run(capsys, [args[0], str(path), *args[1:]])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def _walk_numbers(node):
     if isinstance(node, dict):
         for v in node.values():

@@ -3,12 +3,16 @@ the exhaustive-partition oracle, and the alternation driver."""
 
 import math
 
+import numpy as np
 import pytest
 
 from tropfit import (
     FitConfig,
     SampleSet,
+    agglomerate,
+    alternating_solve,
     brute_force_poly_fit,
+    error_polynomials,
     eval_poly,
     eval_rational,
     fit_polynomial,
@@ -143,6 +147,29 @@ def test_fit_config_validation():
         FitConfig(n=1, l=1, epsilon=0.0)
     with pytest.raises(ValueError):
         FitConfig(n=1, l=1, iteration_cap=0)
+    assert FitConfig(np.int64(2), np.int32(3), iteration_cap=np.int64(6)).l == 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: fit_polynomial(THREE_POINTS, 2.5), id="fit_polynomial-float"),
+        pytest.param(lambda: fit_polynomial(THREE_POINTS, True), id="fit_polynomial-bool"),
+        pytest.param(
+            lambda: agglomerate(error_polynomials(THREE_POINTS), 1.5), id="agglomerate-float"
+        ),
+        pytest.param(lambda: FitConfig(2.5, 2), id="config-n-float"),
+        pytest.param(lambda: FitConfig(2, 2.0), id="config-l-float"),
+        pytest.param(lambda: FitConfig(2, 2, iteration_cap=6.5), id="config-cap-float"),
+        pytest.param(lambda: FitConfig(True, True), id="config-bool"),
+        pytest.param(
+            lambda: alternating_solve([[0.0]], [[1.0]], max_iter=2.5), id="solve-max-iter-float"
+        ),
+    ],
+)
+def test_counts_and_caps_must_be_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
 
 
 def test_fit_rational_bounds():

@@ -1,6 +1,7 @@
 """Tropical linear algebra on float arrays: the product, the distance
-function, the solvers' input checks, and the one- and two-sided
-best-approximation solvers against the loop references in ``oracles``."""
+function, the solvers' input checks, the one- and two-sided
+best-approximation solvers against the loop references in ``oracles``, and
+the alternation driver on stub half-steps."""
 
 import math
 
@@ -18,6 +19,7 @@ from tropfit import (
     distance,
     matvec,
 )
+from tropfit.linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE, alternate
 
 import oracles
 from oracles import (
@@ -188,7 +190,7 @@ def test_best_approx_exactness(rng):
 def test_alternating_identity_case():
     res = alternating_solve(EYE, EYE, [0.0, 0.0])
     assert res.delta == ONE
-    assert res.reason == "exact"
+    assert res.reason == "converged-within-epsilon"
     assert res.x.tolist() == [0.0, 0.0]
     assert res.y.tolist() == [0.0, 0.0]
 
@@ -226,7 +228,7 @@ def test_alternating_terminates_and_is_consistent(rng):
             a = make_matrix(rng, m, n)
             b = make_matrix(rng, m, l)
             res = alternating_solve(a, b)
-            assert res.reason in {"exact", "cycle", "iteration-cap"}
+            assert res.reason in {"converged-within-epsilon", "cycle", "iteration-cap"}
             achieved = chebyshev(oracles.matvec(a, res.x), oracles.matvec(b, res.y))
             assert res.delta == pytest.approx(2 * achieved, abs=1e-9)
 
@@ -239,3 +241,53 @@ def test_alternating_default_start_is_unit_vector():
     assert (default.delta, default.reason) == (explicit.delta, explicit.reason)
     assert default.x.tolist() == explicit.x.tolist()
     assert default.y.tolist() == explicit.y.tolist()
+
+
+# --- alternation driver -----------------------------------------------------------
+
+
+def scripted(deltas):
+    """Half-step stub: returns the next scripted error, the target as its
+    parameters and target + 1 as its values, so parameters never repeat."""
+    errors = iter(deltas)
+    return lambda target: (next(errors), target, target + 1)
+
+
+def test_alternate_stops_on_period_two_cycle():
+    # left always fits 0 and right always fits 1, from a right start of 5:
+    # keys (0, 5, odd), (0, 1, even), (0, 1, odd), then (0, 1, even) again
+    left = lambda target: (2.0, np.zeros(1), np.ones(1))
+    right = lambda target: (1.0, np.ones(1), np.zeros(1))
+    delta, best_left, best_right, trace, reason = alternate(
+        left, right, np.full(1, 5.0), np.zeros(1), 0.0, 100
+    )
+    assert reason == STOP_CYCLE
+    assert trace == ((1, 2.0), (2, 1.0), (3, 2.0), (4, 1.0))
+    assert (delta, best_left.tolist(), best_right.tolist()) == (1.0, [0.0], [1.0])
+
+
+def test_alternate_keeps_earliest_best_half_step():
+    half = scripted([3.0, 1.0, 2.0, 1.0, 5.0])
+    start = np.full(1, -1.0)
+    delta, left, right, trace, reason = alternate(half, half, start, np.zeros(1), 0.0, 5)
+    # parameters at half-step k are k - 1; the tie at k = 4 would give (2, 3)
+    assert (delta, left.tolist(), right.tolist()) == (1.0, [0.0], [1.0])
+    assert [d for _, d in trace] == [3.0, 1.0, 2.0, 1.0, 5.0]
+    assert reason == STOP_CAP
+
+
+def test_alternate_stops_when_within_tolerance():
+    half = scripted([3.0, 2.0, 1e-10, 0.5])
+    start = np.full(1, -1.0)
+    delta, left, right, trace, reason = alternate(half, half, start, np.zeros(1), 1e-9, 10)
+    assert reason == STOP_CONVERGED
+    assert trace == ((1, 3.0), (2, 2.0), (3, 1e-10))
+    assert (delta, left.tolist(), right.tolist()) == (1e-10, [2.0], [1.0])
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_alternate_runs_to_the_cap(cap):
+    half = scripted([1.0] * 10)
+    _, _, _, trace, reason = alternate(half, half, np.full(1, -1.0), np.zeros(1), 0.0, cap)
+    assert reason == STOP_CAP
+    assert [k for k, _ in trace] == list(range(1, cap + 1))
