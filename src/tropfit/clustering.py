@@ -20,10 +20,12 @@ E[i, j] = (x_j - x_i, y_i - y_j) (``error_polynomials``).  The merged minimum
 is a max over monomial pairs, and each pair comes from at most two members,
 so a group's score is the largest merged minimum over its pairs of samples.
 The search is therefore complete-linkage clustering on the M x M matrix of
-pair minima (``pair_minima``).  Each of its M^2/2 entries is a mu kernel over
-O(M^2) monomial pairs, so D costs O(M^4); the merges then cost O(M^2 log M)
-heap operations on float maxima.  Polynomial objects are built only for the
-N final blocks.
+pair minima (``pair_minima``).  Only the data's lower convex hull attains a
+pair minimum, so each entry takes the mu kernel over a few hull monomials
+rather than all O(M^2) monomial pairs: D costs O(M^2) kernel terms unless
+the hull has long collinear runs.  The merges then cost O(M^2 log M) heap
+operations on quantized float maxima.  Polynomial objects are built only
+for the N final blocks.
 """
 
 from __future__ import annotations
@@ -151,10 +153,54 @@ def score_blocks(blocks: Iterable[Iterable[int]], polys: np.ndarray) -> Exponent
 #: few temporaries alive at once stay near 1 MiB and in cache.
 _KERNEL_BLOCK = 1 << 15
 
+#: A turn of the lower hull chain is strictly convex, or strictly concave,
+#: only when its two cross-product terms differ by more than this share of
+#: their magnitudes; turns in between keep the point on the chain.
+_TURN_TOL = 1e-12
+
+
+def _check_shape(polys: np.ndarray) -> int:
+    """M for an (M, M, 2) error-polynomial array with M >= 1, else ValueError."""
+    shape = np.shape(polys)
+    if len(shape) != 3 or shape[2] != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise ValueError(f"error polynomials must be an (M, M, 2) array, got shape {shape}")
+    return shape[0]
+
+
+def _lower_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower convex hull chain of the points (xs, ys): sample indices by
+    increasing abscissa, the lowest point per abscissa, and which of them are
+    strict vertices.
+
+    Only clearly concave turns drop a point, so collinear and near-collinear
+    points (and those whose turn test overflows) stay on the chain; a strict
+    vertex is an end or a clearly convex turn.
+    """
+    px, py = xs.tolist(), ys.tolist()
+
+    def turn(a: int, b: int, c: int) -> int:
+        u = (px[b] - px[a]) * (py[c] - py[a])
+        v = (py[b] - py[a]) * (px[c] - px[a])
+        if not abs(u - v) > _TURN_TOL * (abs(u) + abs(v)):
+            return 0
+        return 1 if u > v else -1
+
+    order = np.lexsort((ys, xs))
+    lowest = np.ones(len(order), dtype=bool)
+    lowest[1:] = xs[order[1:]] != xs[order[:-1]]
+    chain: list[int] = []
+    for j in order[lowest].tolist():
+        while len(chain) >= 2 and turn(chain[-2], chain[-1], j) < 0:
+            chain.pop()
+        chain.append(j)
+    inner = [turn(*abc) > 0 for abc in zip(chain, chain[1:], chain[2:])]
+    strict = np.array([True, *inner, True][: len(chain)])
+    return np.array(chain), strict
+
 
 def pair_minima(polys: np.ndarray) -> np.ndarray:
-    """D[i, k]: the minimum of polys[i] + polys[k], for every pair of rows of
-    an (M, K, 2) monomial array.
+    """D[i, k]: the minimum of polys[i] + polys[k] for every pair of rows of
+    the (M, M, 2) array ``error_polynomials`` returns.
 
     The minimum of a tropical sum is the mu formula's max over monomial pairs
     of the sum, so with C[i, k] the max over (negative exponent of polys[i],
@@ -163,39 +209,79 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
 
         D[i, k] = max(self_i, self_k, C[i, k], C[k, i]),  self_i = max(C[i, i], z_i),
 
-    and D[i, i] = self_i.  Every positive side keeps all columns that are
-    positive in some row, with exponent 1 and coefficient -inf (which adds
-    only -inf values) where its own monomial is not positive.  C takes one
-    kernel call per row against every positive side at once, split into
-    blocks of rows whose temporaries stay near 1 MiB in all.
+    and D[i, i] = self_i.  Row i is E_i(p) = h(p) - (p x_i - y_i) with
+    h(p) = max_j (p x_j - y_j), and only the points of the data's lower
+    convex hull attain h.  So the mu terms that attain D come from few hull
+    points: for x_i < x_k and p* = (y_k - y_i)/(x_k - x_i), D[i, k] is
+    self_i, self_k, or E_i(p*) = E_k(p*), reached by the hull points on the
+    supporting line of slope p*.  C[i, k] is therefore taken over the hull
+    chain (``_lower_chain``, built from row 0's view of the data) from the
+    strict vertex before the chain slope that p* falls at to the one after
+    it; C[i, i], and C[i, k] for equal abscissae, over the chain from the
+    strict vertex before x_i to the one after.  z_i takes the whole row.
+
+    Every candidate term is one the full mu formula computes, from the same
+    entries of ``polys`` by the same kernel, so D is never above the full
+    formula and equals it whenever the attaining pair is a candidate.  The
+    kernel runs on pairs grouped by candidate count, in blocks whose
+    temporaries stay near 1 MiB, with -inf coefficients (and an exponent of
+    the side's sign) where a candidate is not on the side.  The cost is
+    O(M^2) kernel terms for data without long collinear runs on the hull.
     """
-    m = len(polys)
+    m = _check_shape(polys)
     exponents, coefficients = polys[..., 0], polys[..., 1]
     neg = exponents < -ZERO_EXPONENT_TOL
     pos = exponents > ZERO_EXPONENT_TOL
     zero = np.where(neg | pos, -np.inf, coefficients).max(axis=1)
-    # Contiguous copies: the column selection leaves strided arrays, which
-    # slow the kernel.
-    cols = pos.any(axis=0)
-    pos_p = np.ascontiguousarray(np.where(pos, exponents, 1.0)[:, cols])
-    pos_t = np.ascontiguousarray(np.where(pos, coefficients, -np.inf)[:, cols])
-    width = pos_p.shape[1]
-    cross = np.empty((m, m))
+
+    xs, ys = exponents[0], -coefficients[0]
+    chain, strict = _lower_chain(xs, ys)
+    h = len(chain)
+    steps = np.arange(h)
+    prev_strict = np.maximum.accumulate(np.where(strict, steps, 0))
+    next_strict = np.minimum.accumulate(np.where(strict, steps, h - 1)[::-1])[::-1]
+
+    def window(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return prev_strict[np.clip(before, 0, h - 1)], next_strict[np.clip(after, 0, h - 1)]
+
+    at = np.searchsorted(xs[chain], xs)
+    self_lo, self_hi = window(at - 1, at)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slopes = np.diff(ys[chain]) / np.diff(xs[chain])
+        at = np.searchsorted(slopes, -coefficients / exponents)
+    lo, hi = window(at - 1, at + 1)
+    same = ~(neg | pos)
+    lo = np.where(same, np.minimum.outer(self_lo, self_lo), lo).ravel()
+    width = np.where(same, np.maximum.outer(self_hi, self_hi), hi).ravel() - lo + 1
+
+    # The two sides over the chain's columns, padded where off their sign.
+    neg_c, pos_c = neg[:, chain], pos[:, chain]
+    exp_c, coef_c = exponents[:, chain], coefficients[:, chain]
+    neg_p, neg_t = np.where(neg_c, exp_c, -1.0), np.where(neg_c, coef_c, -np.inf)
+    pos_p, pos_t = np.where(pos_c, exp_c, 1.0), np.where(pos_c, coef_c, -np.inf)
+
+    cross = np.empty(m * m)
     no_zero = np.empty(0)
-    for i in range(m):
-        neg_p, neg_t = exponents[i, neg[i]], coefficients[i, neg[i]]
-        rows = max(1, _KERNEL_BLOCK // max(1, neg_p.size * width))
-        for k in range(0, m, rows):
-            cross[i, k : k + rows] = pairwise_minimum_value(
-                neg_p, neg_t, pos_p[k : k + rows], pos_t[k : k + rows], no_zero
+    order = np.argsort(width, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        w = int(width[group[0]])
+        block = max(1, _KERNEL_BLOCK // (w * w))
+        for start in range(0, len(group), block):
+            pairs = group[start : start + block]
+            i, k = np.divmod(pairs, m)
+            i, k = i[:, None], k[:, None]
+            cols = lo[pairs, None] + np.arange(w)
+            cross[pairs] = pairwise_minimum_value(
+                neg_p[i, cols], neg_t[i, cols], pos_p[k, cols], pos_t[k, cols], no_zero
             )
+    cross = cross.reshape(m, m)
     own = np.maximum(cross.diagonal(), zero)
     return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
 
 
 def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
     """Greedy agglomerative minimization of delta(p) down to n groups, over
-    the (M, K, 2) array of error polynomials ``error_polynomials`` returns.
+    the (M, M, 2) array of error polynomials ``error_polynomials`` returns.
 
     A group's merged minimum is the largest pair minimum ``pair_minima``
     over its pairs of samples, so the search is complete-linkage clustering
@@ -203,34 +289,33 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
 
         score(A + B, C) = max(score(A, B), score(A, C), score(B, C)).
 
-    The cost per call is M^2/2 pair kernels of O(K^2) each for D, O(M^4)
-    for K = M, plus O(M^2 log M) heap operations; ``score_blocks`` builds
-    polynomials and runs ``min_poly`` only on the n final blocks.  Pair
-    scores live in a lazy-deletion heap keyed by the quantized score and the
-    deterministic tie-break key; entries whose clusters were already merged
-    are skipped on pop.  Each block's exponent is the representative point
-    of its minimizing interval.
+    The cost per call is D, O(M^2) kernel terms on data without long
+    collinear runs on its lower hull, plus O(M^2 log M) heap operations;
+    ``score_blocks`` builds polynomials and runs ``min_poly`` only on the n
+    final blocks.  Pair scores live in a lazy-deletion heap keyed by the
+    score quantized to SCORE_QUANTUM (a float, +inf for scores beyond the
+    float range once quantized; quantizing is monotone, so the rule above
+    holds for the keys) and the deterministic tie-break key; entries whose
+    clusters were already merged are skipped on pop.  Each block's exponent
+    is the representative point of its minimizing interval.
     """
-    m = len(polys)
+    m = _check_shape(polys)
     check_count(n, "group count", m)
 
     members: dict[int, list[int]] = {i: [i] for i in range(m)}
     least = list(range(m))
-    scores: list[dict[int, float]] = [{} for _ in range(m)]
-    heap: list[tuple[int, tuple[int, int], int, int]] = []
+    keys: list[dict[int, float]] = [{} for _ in range(m)]
+    heap: list[tuple[float, tuple[int, int], int, int]] = []
 
-    def push(sa: int, sb: int, score: float) -> None:
-        if score == -math.inf:
-            raise ValueError(
-                "merged polynomial has an unattained minimum; every input "
-                "needs a zero exponent or exponents of both signs"
-            )
-        scores[sa][sb] = scores[sb][sa] = score
+    def push(sa: int, sb: int, key: float) -> None:
+        keys[sa][sb] = keys[sb][sa] = key
         la, lb = least[sa], least[sb]
         tie = (la, lb) if la < lb else (lb, la)
-        heapq.heappush(heap, (round(score / SCORE_QUANTUM), tie, sa, sb))
+        heapq.heappush(heap, (key, tie, sa, sb))
 
-    for a, row in enumerate(pair_minima(polys).tolist()):
+    with np.errstate(over="ignore"):
+        quantized = np.rint(pair_minima(polys) / SCORE_QUANTUM)
+    for a, row in enumerate(quantized.tolist()):
         for b in range(a + 1, m):
             push(a, b, row[b])
 
@@ -242,8 +327,8 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
         snew = len(least)
         members[snew] = members.pop(sa) + members.pop(sb)
         least.append(min(least[sa], least[sb]))
-        scores.append({})
-        row_a, row_b = scores[sa], scores[sb]
+        keys.append({})
+        row_a, row_b = keys[sa], keys[sb]
         inner = row_a[sb]
         for sid in sorted(members):
             if sid != snew:

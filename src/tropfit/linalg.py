@@ -141,7 +141,9 @@ def alternate(
     ``<``: the earliest wins ties), the trace of (k, squared error) and the
     stop reason: STOP_CONVERGED once an error is at most ``tol``, STOP_CYCLE
     when the parameters of both sides, flattened and quantized to
-    CYCLE_QUANTUM, repeat at the same parity, else STOP_CAP.
+    CYCLE_QUANTUM, repeat at the same parity, else STOP_CAP.  A half-step
+    whose quantized parameters leave the float range takes no part in the
+    repetition test.
     """
     trace: list[tuple[int, float]] = []
     best = None
@@ -159,8 +161,11 @@ def alternate(
             # necessarily the best half-step: earlier errors exceeded tol
             reason = STOP_CONVERGED
             break
-        flat = np.concatenate((np.ravel(left), np.ravel(right))).tolist()
-        key = tuple(round(v / CYCLE_QUANTUM) for v in flat) + (k % 2,)
+        with np.errstate(over="ignore"):
+            quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / CYCLE_QUANTUM)
+        if not np.isfinite(quantized).all():
+            continue  # a key beyond the float range would match unequal parameters
+        key = (*quantized.tolist(), k % 2)
         if key in seen:
             reason = STOP_CYCLE
             break

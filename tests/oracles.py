@@ -12,7 +12,9 @@ concatenation (``poly_sum``) and subset minima by ``min_poly`` of the sum
 written from its definition: it shares the mu kernel and the heap keys with
 ``agglomerate`` but rebuilds and rescores merged polynomials after every
 merge, so the complete-linkage updates on pair minima must agree with it bit
-for bit.
+for bit.  ``pair_minima_kernel`` builds the pair minima with every monomial
+pair in the mu kernel, the reference for the hull candidates of
+``clustering.pair_minima``.
 """
 
 import heapq
@@ -23,7 +25,7 @@ import numpy as np
 
 from tropfit import PuiseuxPoly, SampleSet, min_poly
 from tropfit.clustering import SCORE_QUANTUM, ExponentResult, Partition, PartitionBlock
-from tropfit.puiseux import _split_by_sign, pairwise_minimum_value
+from tropfit.puiseux import ZERO_EXPONENT_TOL, _split_by_sign, pairwise_minimum_value
 
 
 def grid_min(monomials, lo=-20.0, hi=20.0, step=1e-3):
@@ -137,6 +139,29 @@ def merged_minimum(subset, polys):
     if not indices:
         raise ValueError("subset must be nonempty")
     return min_poly(poly_sum(polys[i] for i in indices))
+
+
+def pair_minima_kernel(polys):
+    """Reference for ``clustering.pair_minima``: the same formula
+    D[i, k] = max(self_i, self_k, C[i, k], C[k, i]) with every monomial
+    pair of rows i and k in the mu kernel, O(M^4) in all.  The negative
+    side of row i meets the positive sides of all rows in one kernel call,
+    padded with exponent 1 and coefficient -inf where a monomial is not
+    positive."""
+    m = len(polys)
+    exponents, coefficients = polys[..., 0], polys[..., 1]
+    neg = exponents < -ZERO_EXPONENT_TOL
+    pos = exponents > ZERO_EXPONENT_TOL
+    zero = np.where(neg | pos, -np.inf, coefficients).max(axis=1)
+    pos_p = np.where(pos, exponents, 1.0)
+    pos_t = np.where(pos, coefficients, -np.inf)
+    cross = np.empty((m, m))
+    for i in range(m):
+        cross[i] = pairwise_minimum_value(
+            exponents[i, neg[i]], coefficients[i, neg[i]], pos_p, pos_t, np.empty(0)
+        )
+    own = np.maximum(cross.diagonal(), zero)
+    return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
 
 
 class _Cluster:

@@ -182,6 +182,27 @@ def test_fit_rejects_differences_beyond_float_range(capsys, tmp_path, rows):
 
 
 @pytest.mark.parametrize(
+    "args", [["poly", "--n", "2"], ["rational", "--n", "2", "--l", "2"]], ids=["poly", "rational"]
+)
+def test_huge_ordinates_fit(capsys, tmp_path, args):
+    """Scores and parameters beyond the range of the heap and cycle keys fit
+    like any others: the report misses the samples by its chebyshev_error."""
+    xs, ys = [0.0, 1.0, 2.0, 3.0], [0.0, 1e300, 0.0, 5.0]
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    code, out, err = run(capsys, ["fit", args[0], str(data), *args[1:]])
+    assert code == 0, err
+    report = FitReport.from_json(out)
+    report_path = tmp_path / "r.json"
+    report_path.write_text(out)
+    code, curve, err = run(capsys, ["eval", str(report_path), *map(repr, xs)])
+    assert code == 0, err
+    values = [float(line.split(",")[1]) for line in curve.strip().splitlines()[1:]]
+    residual = max(abs(v - y) for v, y in zip(values, ys))
+    assert report.delta_star == pytest.approx(2 * residual, rel=1e-9)
+
+
+@pytest.mark.parametrize(
     "rows, point",
     [("2,1e300\n3,1\n", None), ("1,1\n2,8\n3,27\n4,64\n", "1e300")],
     ids=["fit-coefficient", "eval-value"],

@@ -1,6 +1,7 @@
-"""Exponent search: the error-polynomial array, subset minima, the greedy
-agglomeration against hand-derived, exhaustive and object-based reference
-results, and the two max/min identities the search rests on."""
+"""Exponent search: the error-polynomial array, subset minima, the pair
+minima against the full mu kernel, the greedy agglomeration against
+hand-derived, exhaustive and object-based reference results, and the two
+max/min identities the search rests on."""
 
 import itertools
 import math
@@ -22,6 +23,7 @@ from oracles import (
     matvec,
     merged_minimum,
     monomial_matrix,
+    pair_minima_kernel,
     random_sampleset,
     sample_polynomials,
 )
@@ -170,10 +172,19 @@ def test_agglomerate_invariant_delta_is_max_of_minima(rng):
     assert sorted(i for b in blocks for i in b) == list(range(7))
 
 
-def test_agglomerate_rejects_unattained_merged_minimum():
-    # both exponents positive and no zero exponent: the merged minimum is -inf
-    with pytest.raises(ValueError, match="unattained"):
+def test_agglomerate_rejects_arrays_not_shaped_m_m_2():
+    # two one-monomial rows, which no set of samples gives
+    with pytest.raises(ValueError, match=r"must be an \(M, M, 2\) array"):
         agglomerate(np.array([[[1.0, 0.0]], [[2.0, 0.0]]]), 1)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 1, 2), (0, 0, 2), (3, 3), (2, 2, 3), (2, 2, 2, 1)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_pair_minima_rejects_arrays_not_shaped_m_m_2(shape):
+    with pytest.raises(ValueError, match=r"must be an \(M, M, 2\) array"):
+        pair_minima(np.ones(shape))
 
 
 @st.composite
@@ -219,6 +230,57 @@ def test_merged_minimum_is_max_of_pair_minima(samples, data):
         subset = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
         expected = max(d[i][k] for i in subset for k in subset)
         assert merged_minimum(subset, polys).mu == expected
+
+
+def assert_pair_minima_match_kernel(samples):
+    polys = error_polynomials(samples)
+    d, ref = pair_minima(polys), pair_minima_kernel(polys)
+    assert (d <= ref).all()  # the candidates are a subset of the full formula's terms
+    assert np.array_equal(d, ref)
+
+
+@st.composite
+def near_collinear_samplesets(draw, max_size=30):
+    """One-decimal abscissae on a line of one-decimal slope, ordinates off
+    it by at most one step of 0.1: long collinear and near-collinear runs
+    on the lower hull."""
+    m = draw(st.integers(1, max_size))
+    slope = draw(st.integers(-20, 20)) / 10
+    xs = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
+    offsets = draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m))
+    return SampleSet([k / 10 for k in xs],
+                     [round(slope * k / 10 + d / 10, 1) for k, d in zip(xs, offsets)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tie_heavy_samplesets(), near_collinear_samplesets()))
+def test_pair_minima_equal_the_full_kernel(samples):
+    """The hull candidates give the full mu formula's D bit for bit."""
+    assert_pair_minima_match_kernel(samples)
+
+
+_UNSORTED = [(7 * k % 13) / 6 for k in range(13)]
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([0.5], [1.0]),
+        ([0.0, 1.0], [0.0, 2.0]),
+        ([1.0, 0.0], [2.0, 0.0]),
+        ([1.5] * 6, [0.0, 3.0, -1.0, 2.0, -1.0, 4.0]),
+        ([0.1 * k for k in range(15)], [0.3 * k - 1.0 for k in range(15)]),
+        ([0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 1.0], [0.0, -1.0, -1.0, 0.0, 0.0, 0.0, 2.0]),
+        (_UNSORTED, [(x - 1.0) ** 2 + 0.05 * math.sin(7.0 * x) for x in _UNSORTED]),
+        ([1e6 + 0.1 * k for k in (3, 0, 7, 1, 5, 2)], [1.0, 2.0, 1.5, 3.0, 0.0, 2.0]),
+        ([1e15 * k for k in (0, 1, 2, 3, 4)], [1e15 * k for k in (2, 0, 1, 3, 0)]),
+        ([-3.0, -1.0, 0.0, 2.0, 3.0], [1e300, 0.0, -5.0, 1e300, 2.0]),
+    ],
+    ids=["m1", "m2", "m2-unsorted", "one-abscissa", "collinear", "repeated-points",
+         "unsorted-noisy", "offset-1e6", "magnitude-1e15", "huge-ordinates"],
+)
+def test_pair_minima_equal_the_full_kernel_on_edge_cases(xs, ys):
+    assert_pair_minima_match_kernel(SampleSet(xs, ys))
 
 
 # --- max/min identities ------------------------------------------------------------

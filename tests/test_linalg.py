@@ -291,3 +291,13 @@ def test_alternate_runs_to_the_cap(cap):
     _, _, _, trace, reason = alternate(half, half, np.full(1, -1.0), np.zeros(1), 0.0, cap)
     assert reason == STOP_CAP
     assert [k for k, _ in trace] == list(range(1, cap + 1))
+
+
+def test_alternate_parameters_beyond_the_key_range_are_no_cycle():
+    # parameters 1e300, 2e300, ... quantize past the float range; they differ
+    # at every half-step, so they must neither raise nor match as a cycle
+    half = lambda target: (1.0, target, target + 1e300)
+    start = np.full(1, 1e300)
+    _, _, _, trace, reason = alternate(half, half, start, start, 0.0, 6)
+    assert reason == STOP_CAP
+    assert len(trace) == 6
