@@ -23,9 +23,10 @@ The search is therefore complete-linkage clustering on the M x M matrix of
 pair minima (``pair_minima``).  Only the data's lower convex hull attains a
 pair minimum, so each entry takes the mu kernel over a few hull monomials
 rather than all O(M^2) monomial pairs: D costs O(M^2) kernel terms unless
-the hull has long collinear runs.  The merges then cost O(M^2 log M) heap
-operations on quantized float maxima.  Polynomial objects are built only
-for the N final blocks.
+the hull has long collinear runs, or a far outlier makes the kernel's
+rounding error wider than the hull's turns.  The merges then cost
+O(M^2 log M) heap operations on quantized float maxima.  Polynomial objects
+are built only for the N final blocks.
 """
 
 from __future__ import annotations
@@ -155,39 +156,58 @@ _KERNEL_BLOCK = 1 << 15
 
 #: A turn of the lower hull chain is strictly convex, or strictly concave,
 #: only when its two cross-product terms differ by more than this share of
-#: their magnitudes; turns in between keep the point on the chain.
+#: their magnitudes, and its middle point is off the line by more than this
+#: share of the largest ordinate difference; turns in between keep the point
+#: on the chain.
 _TURN_TOL = 1e-12
 
 
-def _check_shape(polys: np.ndarray) -> int:
-    """M for an (M, M, 2) error-polynomial array with M >= 1, else ValueError."""
+def _check_polys(polys: np.ndarray) -> int:
+    """M for an (M, M, 2) error-polynomial array with M >= 1 and (0, 0) on
+    the diagonal, else ValueError."""
     shape = np.shape(polys)
     if len(shape) != 3 or shape[2] != 2 or shape[0] != shape[1] or shape[0] < 1:
         raise ValueError(f"error polynomials must be an (M, M, 2) array, got shape {shape}")
+    if np.diagonal(polys).any():
+        raise ValueError("error polynomials must have E[i, i] = (0, 0)")
     return shape[0]
 
 
-def _lower_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower convex hull chain of the points (xs, ys): sample indices by
-    increasing abscissa, the lowest point per abscissa, and which of them are
-    strict vertices.
+def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower convex hull chain of the samples behind an error-polynomial
+    array: sample indices by increasing abscissa, the lowest point per
+    abscissa, which of them are strict vertices, and every sample's abscissa
+    rank (the number of samples with a smaller abscissa).
 
-    Only clearly concave turns drop a point, so collinear and near-collinear
-    points (and those whose turn test overflows) stay on the chain; a strict
-    vertex is an end or a clearly convex turn.
+    Each decision reads exact differences of the samples, never differences
+    of differences: a float difference has the sign of the exact one, so
+    the order and the lowest point per abscissa are exact, and each turn
+    test takes both vectors from its first point's own row.  Only clearly
+    concave turns drop a point, so collinear and near-collinear points (and
+    those whose turn test overflows) stay on the chain; a strict vertex is
+    an end or a clearly convex turn.  A turn is clear when its two
+    cross-product terms differ by more than _TURN_TOL of their magnitudes
+    and the middle point is off the line through its neighbours by more
+    than _TURN_TOL of the largest ordinate difference: the kernel's rounding
+    error grows with the coefficients, so with a far outlier every point
+    within that band of the hull can attain a pair minimum.
     """
-    px, py = xs.tolist(), ys.tolist()
+    x_rank = (polys[..., 0] < 0).sum(axis=1)
+    y_rank = (polys[..., 1] > 0).sum(axis=1)
+    band = _TURN_TOL * np.abs(polys[..., 1]).max()
+    entry = polys.item
 
     def turn(a: int, b: int, c: int) -> int:
-        u = (px[b] - px[a]) * (py[c] - py[a])
-        v = (py[b] - py[a]) * (px[c] - px[a])
-        if not abs(u - v) > _TURN_TOL * (abs(u) + abs(v)):
+        # u - v is b's height above the line from a to c, times x_c - x_a
+        u = entry(a, b, 0) * entry(a, c, 1)
+        v = entry(a, b, 1) * entry(a, c, 0)
+        if not abs(u - v) > max(_TURN_TOL * (abs(u) + abs(v)), band * entry(a, c, 0)):
             return 0
-        return 1 if u > v else -1
+        return 1 if u < v else -1
 
-    order = np.lexsort((ys, xs))
+    order = np.lexsort((y_rank, x_rank))
     lowest = np.ones(len(order), dtype=bool)
-    lowest[1:] = xs[order[1:]] != xs[order[:-1]]
+    lowest[1:] = x_rank[order[1:]] != x_rank[order[:-1]]
     chain: list[int] = []
     for j in order[lowest].tolist():
         while len(chain) >= 2 and turn(chain[-2], chain[-1], j) < 0:
@@ -195,12 +215,36 @@ def _lower_chain(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
         chain.append(j)
     inner = [turn(*abc) > 0 for abc in zip(chain, chain[1:], chain[2:])]
     strict = np.array([True, *inner, True][: len(chain)])
-    return np.array(chain), strict
+    return np.array(chain), strict, x_rank
+
+
+def _kernel_widths(
+    width: np.ndarray, neg_count: np.ndarray, pos_count: np.ndarray, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel widths of the negative and positive sides of candidate
+    windows.  A window at most 8 wide goes whole to both sides, which keeps
+    ordinary data to a few kernel shapes.  A wider one gives each side only
+    its own count (at least 1), rounded up to the next 2^k or 3 * 2^k, so
+    that a long collinear hull run costs about a quarter of its square in
+    few shapes."""
+    if width.max() <= 8:
+        return width, width
+    b = max(top, 8).bit_length()
+    sizes = np.array(sorted({*range(1, 9), *(2**k for k in range(3, b + 1)),
+                             *(3 * 2**k for k in range(2, b))}))
+    narrow = width <= 8
+
+    def side(count: np.ndarray) -> np.ndarray:
+        return np.where(narrow, width, sizes[np.searchsorted(sizes, np.maximum(count, 1))])
+
+    return side(neg_count), side(pos_count)
 
 
 def pair_minima(polys: np.ndarray) -> np.ndarray:
     """D[i, k]: the minimum of polys[i] + polys[k] for every pair of rows of
-    the (M, M, 2) array ``error_polynomials`` returns.
+    the (M, M, 2) array ``error_polynomials`` returns.  Other arrays of that
+    shape give undefined results: the hull is read from their entries as if
+    E[i, j] = (x_j - x_i, y_i - y_j).
 
     The minimum of a tropical sum is the mu formula's max over monomial pairs
     of the sum, so with C[i, k] the max over (negative exponent of polys[i],
@@ -215,27 +259,31 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     points: for x_i < x_k and p* = (y_k - y_i)/(x_k - x_i), D[i, k] is
     self_i, self_k, or E_i(p*) = E_k(p*), reached by the hull points on the
     supporting line of slope p*.  C[i, k] is therefore taken over the hull
-    chain (``_lower_chain``, built from row 0's view of the data) from the
-    strict vertex before the chain slope that p* falls at to the one after
-    it; C[i, i], and C[i, k] for equal abscissae, over the chain from the
-    strict vertex before x_i to the one after.  z_i takes the whole row.
+    chain (``_lower_chain``) from the strict vertex before the chain slope
+    that p* falls at to the one after it; C[i, i], and C[i, k] for equal
+    abscissae, over the chain from the strict vertex before x_i to the one
+    after.  Of that window, row i's negative side is the part left of x_i
+    and row k's positive side the part right of x_k.  z_i takes the whole
+    row.
 
     Every candidate term is one the full mu formula computes, from the same
     entries of ``polys`` by the same kernel, so D is never above the full
     formula and equals it whenever the attaining pair is a candidate.  The
-    kernel runs on pairs grouped by candidate count, in blocks whose
-    temporaries stay near 1 MiB, with -inf coefficients (and an exponent of
-    the side's sign) where a candidate is not on the side.  The cost is
-    O(M^2) kernel terms for data without long collinear runs on the hull.
+    kernel runs on pairs grouped by the two sides' candidate counts
+    (``_kernel_widths``), in blocks whose temporaries stay near 1 MiB, with
+    -inf coefficients (and an exponent of the side's sign) where a candidate
+    is not on its side.  The cost is O(M^2) kernel terms for data without
+    long collinear runs on the hull; on a collinear hull, or beside a far
+    outlier, every window is the whole chain, about M^4 / 4 terms before
+    padding.
     """
-    m = _check_shape(polys)
+    m = _check_polys(polys)
     exponents, coefficients = polys[..., 0], polys[..., 1]
     neg = exponents < -ZERO_EXPONENT_TOL
     pos = exponents > ZERO_EXPONENT_TOL
     zero = np.where(neg | pos, -np.inf, coefficients).max(axis=1)
 
-    xs, ys = exponents[0], -coefficients[0]
-    chain, strict = _lower_chain(xs, ys)
+    chain, strict, x_rank = _lower_chain(polys)
     h = len(chain)
     steps = np.arange(h)
     prev_strict = np.maximum.accumulate(np.where(strict, steps, 0))
@@ -244,15 +292,22 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     def window(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return prev_strict[np.clip(before, 0, h - 1)], next_strict[np.clip(after, 0, h - 1)]
 
-    at = np.searchsorted(xs[chain], xs)
+    # Chain positions of each abscissa: the first at or right of it, the first right of it.
+    at = np.searchsorted(x_rank[chain], x_rank)
+    past = np.searchsorted(x_rank[chain], x_rank, side="right")
     self_lo, self_hi = window(at - 1, at)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slopes = np.diff(ys[chain]) / np.diff(xs[chain])
-        at = np.searchsorted(slopes, -coefficients / exponents)
-    lo, hi = window(at - 1, at + 1)
+        slopes = -coefficients[chain[:-1], chain[1:]] / exponents[chain[:-1], chain[1:]]
+        cut = np.searchsorted(slopes, -coefficients / exponents)
+    lo, hi = window(cut - 1, cut + 1)
     same = ~(neg | pos)
-    lo = np.where(same, np.minimum.outer(self_lo, self_lo), lo).ravel()
-    width = np.where(same, np.maximum.outer(self_hi, self_hi), hi).ravel() - lo + 1
+    lo = np.where(same, np.minimum.outer(self_lo, self_lo), lo)
+    hi = np.where(same, np.maximum.outer(self_hi, self_hi), hi)
+    # Row i's negative side lies left of x_i, row k's positive side right of x_k.
+    neg_hi = np.minimum(hi, at[:, None] - 1).ravel()
+    pos_lo = np.maximum(lo, past[None, :]).ravel()
+    lo, hi = lo.ravel(), hi.ravel()
+    neg_w, pos_w = _kernel_widths(hi - lo + 1, neg_hi - lo + 1, hi - pos_lo + 1, h)
 
     # The two sides over the chain's columns, padded where off their sign.
     neg_c, pos_c = neg[:, chain], pos[:, chain]
@@ -262,17 +317,20 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
 
     cross = np.empty(m * m)
     no_zero = np.empty(0)
-    order = np.argsort(width, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-        w = int(width[group[0]])
-        block = max(1, _KERNEL_BLOCK // (w * w))
+    shape = neg_w * (int(pos_w.max()) + 1) + pos_w
+    order = np.argsort(shape, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
+        wn, wp = int(neg_w[group[0]]), int(pos_w[group[0]])
+        block = max(1, _KERNEL_BLOCK // (wn * wp))
         for start in range(0, len(group), block):
             pairs = group[start : start + block]
             i, k = np.divmod(pairs, m)
             i, k = i[:, None], k[:, None]
-            cols = lo[pairs, None] + np.arange(w)
+            # Columns beyond a side's window are still its terms, or padding.
+            ncols = np.maximum(neg_hi[pairs, None] - wn + 1 + np.arange(wn), 0)
+            pcols = np.minimum(pos_lo[pairs, None] + np.arange(wp), h - 1)
             cross[pairs] = pairwise_minimum_value(
-                neg_p[i, cols], neg_t[i, cols], pos_p[k, cols], pos_t[k, cols], no_zero
+                neg_p[i, ncols], neg_t[i, ncols], pos_p[k, pcols], pos_t[k, pcols], no_zero
             )
     cross = cross.reshape(m, m)
     own = np.maximum(cross.diagonal(), zero)
@@ -282,6 +340,8 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
 def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
     """Greedy agglomerative minimization of delta(p) down to n groups, over
     the (M, M, 2) array of error polynomials ``error_polynomials`` returns.
+    Arrays of another shape, or without (0, 0) on the diagonal, raise
+    ValueError; other arrays give undefined results (see ``pair_minima``).
 
     A group's merged minimum is the largest pair minimum ``pair_minima``
     over its pairs of samples, so the search is complete-linkage clustering
@@ -299,7 +359,7 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
     clusters were already merged are skipped on pop.  Each block's exponent
     is the representative point of its minimizing interval.
     """
-    m = _check_shape(polys)
+    m = _check_polys(polys)
     check_count(n, "group count", m)
 
     members: dict[int, list[int]] = {i: [i] for i in range(m)}

@@ -187,6 +187,14 @@ def test_pair_minima_rejects_arrays_not_shaped_m_m_2(shape):
         pair_minima(np.ones(shape))
 
 
+def test_pair_minima_and_agglomerate_reject_a_nonzero_diagonal():
+    polys = error_polynomials(THREE_POINTS).copy()
+    polys[1, 1, 1] = -1.0
+    for call in (lambda: pair_minima(polys), lambda: agglomerate(polys, 1)):
+        with pytest.raises(ValueError, match=r"E\[i, i\] = \(0, 0\)"):
+            call()
+
+
 @st.composite
 def tie_heavy_samplesets(draw, max_size=30):
     """Small integer or one-decimal coordinates: duplicate abscissae and
@@ -252,8 +260,19 @@ def near_collinear_samplesets(draw, max_size=30):
                      [round(slope * k / 10 + d / 10, 1) for k, d in zip(xs, offsets)])
 
 
+@st.composite
+def outlier_first_samplesets(draw):
+    """A tie-heavy or near-collinear set behind a sample 0 far off in x, y
+    or both: seen from sample 0, distinct samples round to the same point."""
+    rest = draw(st.one_of(tie_heavy_samplesets(), near_collinear_samplesets()))
+    x0, y0 = draw(st.sampled_from([(1e15, 0.0), (-1e15, 1.0), (1e6, -1.0), (0.5, 1e300),
+                                   (1.0, -1e300), (-1e6, 1e15), (1e15, -1e300)]))
+    return SampleSet((x0, *rest.xs), (y0, *rest.ys))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(tie_heavy_samplesets(), near_collinear_samplesets()))
+@given(st.one_of(tie_heavy_samplesets(), near_collinear_samplesets(),
+                 outlier_first_samplesets()))
 def test_pair_minima_equal_the_full_kernel(samples):
     """The hull candidates give the full mu formula's D bit for bit."""
     assert_pair_minima_match_kernel(samples)
@@ -275,9 +294,16 @@ _UNSORTED = [(7 * k % 13) / 6 for k in range(13)]
         ([1e6 + 0.1 * k for k in (3, 0, 7, 1, 5, 2)], [1.0, 2.0, 1.5, 3.0, 0.0, 2.0]),
         ([1e15 * k for k in (0, 1, 2, 3, 4)], [1e15 * k for k in (2, 0, 1, 3, 0)]),
         ([-3.0, -1.0, 0.0, 2.0, 3.0], [1e300, 0.0, -5.0, 1e300, 2.0]),
+        # Seen from sample 0 the two middle ordinates, or the last three
+        # abscissae, round to one value; the hull needs the lower one.
+        ([-3.0, -1.0, 0.0, 0.0, 2.0, 3.0], [1e300, 0.0, 5.0, -5.0, 1e300, 2.0]),
+        ([1e15, 0.0, 0.01, 0.02], [0.0, 0.0, -1.0, 0.0]),
+        # Rounding at 1e300 lets sample 2, off the hull by 0.07, attain D[0, 0].
+        ([0.5, 0.0, 0.1, 1.5], [1e300, 0.0, 0.0, -1.0]),
     ],
     ids=["m1", "m2", "m2-unsorted", "one-abscissa", "collinear", "repeated-points",
-         "unsorted-noisy", "offset-1e6", "magnitude-1e15", "huge-ordinates"],
+         "unsorted-noisy", "offset-1e6", "magnitude-1e15", "huge-ordinates",
+         "huge-ordinate-first", "far-abscissa-first", "huge-ordinate-off-hull"],
 )
 def test_pair_minima_equal_the_full_kernel_on_edge_cases(xs, ys):
     assert_pair_minima_match_kernel(SampleSet(xs, ys))
