@@ -16,7 +16,10 @@ sequence is not monotone (the exponent search is a heuristic, and
 underparameterized fits oscillate), so the driver returns the best
 half-step's parameters, not the last.  It stops when the squared error is
 within the configured tolerance, when the parameters of numerator and
-denominator repeat, or at the iteration cap.
+denominator repeat, when the run has settled into a translated cycle (the
+errors repeat while some samples' numerator and denominator values move by
+the same constant each period, and the exponents drift without bound) that
+a probe finds still going at the iteration cap, or at the cap.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .clustering import (
     score_blocks,
 )
 from .linalg import alternate, check_count, matvec, residuate
-from .linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE  # noqa: F401  (fit API names)
+from .linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE, STOP_DRIFT  # noqa: F401  (fit API names)
 from .puiseux import PuiseuxPoly, PuiseuxRational
 
 #: Brute-force oracle size limits.

@@ -17,12 +17,18 @@ attains it.  ``residuate`` computes both for fitting and for the solvers.
 Two-sided equations are handled by ``alternate``, which fixes one side,
 fits the other to it and repeats: ``alternating_solve`` runs it on fixed
 matrices and ``fitting.fit_rational`` with an exponent search per half-step.
+Besides exact repetition it detects translated cycles, in which the errors
+repeat while the values of both sides move by the same step each period
+and the parameters drift without bound.  Such a cycle can end, so
+``alternate`` stops on one only after a probe period far ahead, at the
+iteration cap, shows the same step and errors.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -38,10 +44,12 @@ INFINITE = math.inf
 #: Why an alternation stopped.
 STOP_CONVERGED = "converged-within-epsilon"
 STOP_CYCLE = "cycle"
+STOP_DRIFT = "drift-cycle"
 STOP_CAP = "iteration-cap"
 
-#: Quantization step for the repeated-parameters test in ``alternate``.
-#: Exact float equality would be defeated by accumulated rounding drift.
+#: Quantization step for the repeated-parameters test in ``alternate``, and
+#: the relative tolerance of its translated-cycle test.  Exact float
+#: equality would be defeated by accumulated rounding drift.
 CYCLE_QUANTUM = 1e-9
 
 #: Tolerance below which a squared error counts as exactly ONE.
@@ -127,11 +135,69 @@ def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return delta, xhat
 
 
+def _agree(a: float, b: float) -> bool:
+    """Whether two squared errors agree to CYCLE_QUANTUM * max(1, |a|), a
+    tolerance that an offset of the data does not move."""
+    return abs(a - b) <= CYCLE_QUANTUM * max(1.0, abs(a))
+
+
+def _translation(history):
+    """The step of the translated period-two cycle that the last six
+    half-steps end in, or None.
+
+    ``history`` holds (values, squared error) of half-steps k-5 .. k, oldest
+    first.  With v_k the values of both sides after half-step k (those of
+    half-steps k-1 and k) and s = v_k - v_{k-2}, that is: s equals
+    v_{k-2} - v_{k-4} and is not zero (a zero step is an exact repetition),
+    both to tau = CYCLE_QUANTUM * max(1, |v_k|), and the errors at k, k-2
+    and k-4 agree (``_agree``).  Non-finite values never match.
+    """
+    (t5, _), (t4, d4), (t3, _), (t2, d2), (t1, _), (t0, d0) = history
+    v4, v2, v0 = np.concatenate((t5, t4)), np.concatenate((t3, t2)), np.concatenate((t1, t0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = CYCLE_QUANTUM * max(1.0, float(np.max(np.abs(v0))))
+        step = v0 - v2
+        translated = np.max(np.abs(step - (v2 - v4))) <= tau and np.max(np.abs(step)) > tau
+    return step if translated and _agree(d0, d2) and _agree(d0, d4) else None
+
+
+def _in_range(values) -> bool:
+    """Whether ``values`` and their differences are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.ptp(values)))
+
+
+def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
+    """Whether the translated cycle that ``history`` ends in still holds
+    ``periods`` periods on.
+
+    Jumps the latest values ``periods`` steps ahead, runs one period of
+    half-steps from there, and checks that it lands one more step on, to
+    tau = CYCLE_QUANTUM * max(1, |values|), with the errors of the latest
+    period.  A translation that ends before then, say when a drifting value
+    falls below the others, fails this check at the far end.  A jump
+    beyond the float range confirms nothing.
+    """
+    (t1, d1), (t0, d0) = history[-2], history[-1]
+    start = t0 + periods * step[len(t1):]
+    if not _in_range(start):
+        return False
+    e1, _, u1 = fit_next(start)
+    if not _in_range(u1):
+        return False
+    e0, _, u0 = fit_same(u1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        landed = np.concatenate((u1, u0))
+        missed = np.max(np.abs(landed - (np.concatenate((t1, t0)) + (periods + 1) * step)))
+        tau = CYCLE_QUANTUM * max(1.0, float(np.max(np.abs(landed))))
+    return bool(missed <= tau) and _agree(d1, e1) and _agree(d0, e0)
+
+
 def alternate(
     fit_left: Callable, fit_right: Callable, right, target: np.ndarray, tol: float, cap: int
 ) -> tuple:
-    """Alternate half-steps until the error is within ``tol``, the parameters
-    repeat, or ``cap`` half-steps have run.
+    """Alternate half-steps until the error is within ``tol``, the run
+    repeats itself, or ``cap`` half-steps have run.
 
     Each ``fit_*`` maps a target vector to (squared error, parameters of its
     side, values of its side), and those values are the next target.  Odd
@@ -139,21 +205,35 @@ def alternate(
     ``right`` is the right side's start and ``target`` its values.  Returns
     the best half-step's squared error and parameters of both sides (strict
     ``<``: the earliest wins ties), the trace of (k, squared error) and the
-    stop reason: STOP_CONVERGED once an error is at most ``tol``, STOP_CYCLE
-    when the parameters of both sides, flattened and quantized to
-    CYCLE_QUANTUM, repeat at the same parity, else STOP_CAP.  A half-step
-    whose quantized parameters leave the float range takes no part in the
-    repetition test.
+    stop reason:
+
+    - STOP_CONVERGED once an error is at most ``tol``;
+    - STOP_CYCLE when the parameters of both sides, flattened and quantized
+      to CYCLE_QUANTUM, repeat at the same parity.  A half-step whose
+      quantized parameters leave the float range takes no part in this test;
+    - STOP_DRIFT from k = 5 on, when the values of both sides have moved by
+      the same nonzero step in each of the last two periods at repeating
+      errors (``_translation``), and a probe confirms that the translation
+      still holds at the cap (``_persists``): the run would then only
+      repeat its errors.  The probe's two half-steps are not part of the
+      run or its trace.  After a failed probe at half-step k the next one
+      waits until half-step 2k, so probes cost at most two half-steps each
+      time the run doubles;
+    - STOP_CAP otherwise.
     """
     trace: list[tuple[int, float]] = []
     best = None
     seen: set[tuple] = set()
+    history: deque = deque([(target, None)], maxlen=6)
+    probe_from = 5
     reason = STOP_CAP
     for k in range(1, cap + 1):
         if k % 2:
             delta, left, target = fit_left(target)
+            fit_next, fit_same = fit_right, fit_left
         else:
             delta, right, target = fit_right(target)
+            fit_next, fit_same = fit_left, fit_right
         trace.append((k, delta))
         if best is None or delta < best[0]:
             best = (delta, left, right)
@@ -161,6 +241,13 @@ def alternate(
             # necessarily the best half-step: earlier errors exceeded tol
             reason = STOP_CONVERGED
             break
+        history.append((target, delta))
+        step = _translation(history) if k >= probe_from else None
+        if step is not None:
+            if _persists(history, step, fit_next, fit_same, max(1, (cap - k) // 2)):
+                reason = STOP_DRIFT
+                break
+            probe_from = 2 * k
         with np.errstate(over="ignore"):
             quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / CYCLE_QUANTUM)
         if not np.isfinite(quantized).all():
@@ -193,7 +280,7 @@ class TwoSidedSolution:
     delta: float
     x: np.ndarray
     y: np.ndarray
-    reason: str  # STOP_CONVERGED | STOP_CYCLE | STOP_CAP
+    reason: str  # STOP_CONVERGED | STOP_CYCLE | STOP_DRIFT | STOP_CAP
 
 
 def _solve_side(m: np.ndarray, target: np.ndarray) -> tuple:
@@ -210,9 +297,11 @@ def alternating_solve(a, b, x0=None, max_iter: int = 10_000) -> TwoSidedSolution
     B y = A x for y, then fix y and solve A x = B y for x.  Returns the best
     half-step's vectors and squared error.  It stops as converged when the
     squared error is within EXACT_TOL of ONE (an exact solution), as a cycle
-    when x and y repeat, which the error sequence cannot escape, or after
-    ``max_iter`` rounds of two half-steps.  The start x0 defaults to the
-    all-ONE vector.
+    when x and y repeat, which the error sequence cannot escape, as a drift
+    cycle when some entries of A x and B y move by the same step each round
+    at repeating errors and a probe finds them still doing so at the cap,
+    or after ``max_iter`` rounds of two half-steps.  The start x0 defaults
+    to the all-ONE vector.
     """
     a, b = _matrix(a, "A"), _matrix(b, "B")
     if a.shape[0] != b.shape[0]:

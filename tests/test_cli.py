@@ -102,7 +102,7 @@ def test_fit_rational_report(capsys, fixture_csv):
     assert report.is_rational
     assert report.delta_star == pytest.approx(0.3099, abs=1e-3)
     assert report.trace[0] == (1, pytest.approx(0.4344, abs=1e-3))
-    assert report.stop_reason in {"converged-within-epsilon", "cycle", "iteration-cap"}
+    assert report.stop_reason in {"converged-within-epsilon", "cycle", "drift-cycle", "iteration-cap"}
 
 
 def test_report_roundtrips(capsys, fixture_csv):
@@ -186,7 +186,10 @@ def test_fit_rejects_differences_beyond_float_range(capsys, tmp_path, rows):
 )
 def test_huge_ordinates_fit(capsys, tmp_path, args):
     """Scores and parameters beyond the range of the heap and cycle keys fit
-    like any others: the report misses the samples by its chebyshev_error."""
+    like any others: the report misses the samples by its chebyshev_error.
+    The rational fit settles into a translated cycle, which the drift test,
+    its tolerances relative to the values and errors, stops well before the
+    iteration cap."""
     xs, ys = [0.0, 1.0, 2.0, 3.0], [0.0, 1e300, 0.0, 5.0]
     data = tmp_path / "d.csv"
     data.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
@@ -200,6 +203,25 @@ def test_huge_ordinates_fit(capsys, tmp_path, args):
     values = [float(line.split(",")[1]) for line in curve.strip().splitlines()[1:]]
     residual = max(abs(v - y) for v, y in zip(values, ys))
     assert report.delta_star == pytest.approx(2 * residual, rel=1e-9)
+    if report.is_rational:
+        assert report.stop_reason == "drift-cycle"
+        assert len(report.trace) < 200
+
+
+def test_translated_cycle_stops_under_a_large_cap(capsys, fixture_csv):
+    """A large cap buys no drift: the fit stops in its translated cycle with
+    exponents of the data's scale instead of running all its half-steps."""
+    code, out, _ = run(
+        capsys,
+        ["fit", "rational", str(fixture_csv), "--n", "4", "--l", "4", "--max-iter", "10000"],
+    )
+    assert code == 0
+    report = FitReport.from_json(out)
+    assert report.stop_reason == "drift-cycle"
+    assert len(report.trace) < 100
+    assert report.delta_star == pytest.approx(0.0590, abs=1e-3)
+    exponents = (*report.numerator_exponents, *report.denominator_exponents)
+    assert max(abs(p) for p in exponents) <= 20
 
 
 @pytest.mark.parametrize(

@@ -218,7 +218,38 @@ def test_fit_rational_delta_consistency(rng):
         achieved = chebyshev(lhs, rhs)
         assert achieved == pytest.approx(fit.delta_star / 2, abs=1e-9)
         assert fit.delta_star == pytest.approx(min(d for _, d in fit.trace), abs=0.0)
-        assert fit.stop_reason in {"converged-within-epsilon", "cycle", "iteration-cap"}
+        assert fit.stop_reason in {"converged-within-epsilon", "cycle", "drift-cycle", "iteration-cap"}
+
+
+# Seeded random fits whose translated cycle ends before the iteration cap:
+# (xs, ys, n, l, stop reason, squared error).  A drift test that looked at
+# the last two periods only stopped the first at k = 11 with 1.41 and the
+# second at k = 168 with 0.0123.
+ENDING_TRANSLATIONS = [
+    (
+        [-3.913503392676505, -3.572578921574568, 0.5191131032436157, 0.7709990159353298,
+         1.4952393970401257, 3.2947138159730667, 3.4095607760595756],
+        [-0.7170766980347327, 3.6386338758687913, -1.0995460057880924, 0.10887072378065987,
+         -3.8585663872377207, 0.6355079955223744, 2.66448043801703],
+        3, 4, "converged-within-epsilon", 2.811151641915477e-05,
+    ),
+    (
+        [-4.499129711369609, -2.956354217222925, -2.7242264264062777, -2.3668754306049427,
+         -2.1089893390846592, 0.19585161673249374, 0.8919972907927927, 1.4587178090179855,
+         1.6293454769109323, 1.7874788697726351],
+        [-4.606275375023497, -2.2615310809855824, -1.9228953306700691, 3.7872091023414747,
+         -4.486763449950683, -1.5286579702456047, -3.0544968275110405, 1.9514049246402596,
+         3.112342068012362, -4.425627745157689],
+        4, 5, "iteration-cap", 0.00617288533334559,
+    ),
+]
+
+
+@pytest.mark.parametrize("xs, ys, n, l, reason, delta", ENDING_TRANSLATIONS)
+def test_fit_rational_runs_through_an_ending_translation(xs, ys, n, l, reason, delta):
+    fit = fit_rational(SampleSet(xs, ys), FitConfig(n=n, l=l))
+    assert fit.stop_reason == reason
+    assert fit.delta_star <= delta + 1e-9
 
 
 def test_fit_rational_trace_is_half_step_indexed(rng):

@@ -19,7 +19,7 @@ from tropfit import (
     distance,
     matvec,
 )
-from tropfit.linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE, alternate
+from tropfit.linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE, STOP_DRIFT, alternate
 
 import oracles
 from oracles import (
@@ -228,9 +228,22 @@ def test_alternating_terminates_and_is_consistent(rng):
             a = make_matrix(rng, m, n)
             b = make_matrix(rng, m, l)
             res = alternating_solve(a, b)
-            assert res.reason in {"converged-within-epsilon", "cycle", "iteration-cap"}
+            assert res.reason in {"converged-within-epsilon", "cycle", "drift-cycle", "iteration-cap"}
             achieved = chebyshev(oracles.matvec(a, res.x), oracles.matvec(b, res.y))
             assert res.delta == pytest.approx(2 * achieved, abs=1e-9)
+
+
+def test_alternating_runs_through_a_partial_translation():
+    # from half-step 2 on, some entries of A x and B y move by the same step
+    # each round at a repeating error, a translated cycle at k = 6; it ends,
+    # and the run goes on to an exact solution at k = 15, so the probe must
+    # not confirm it
+    a = [[0, 4, 5, 7, -3], [3, -2, -5, -8, 6], [7, 1, 1, -1, 0], [6, 0, -9, -8, -3]]
+    b = [[6, 2, -8, -1], [8, 1, 7, 9], [-7, 10, -2, -4], [0, 8, -6, 2]]
+    res = alternating_solve(a, b)
+    assert res.reason == STOP_CONVERGED
+    assert res.delta == ONE
+    assert oracles.matvec(a, res.x) == oracles.matvec(b, res.y)
 
 
 def test_alternating_default_start_is_unit_vector():
@@ -248,9 +261,10 @@ def test_alternating_default_start_is_unit_vector():
 
 def scripted(deltas):
     """Half-step stub: returns the next scripted error, the target as its
-    parameters and target + 1 as its values, so parameters never repeat."""
+    parameters and 2 target + 1 as its values, so parameters never repeat
+    and values never move by a constant step."""
     errors = iter(deltas)
-    return lambda target: (next(errors), target, target + 1)
+    return lambda target: (next(errors), target, 2 * target + 1)
 
 
 def test_alternate_stops_on_period_two_cycle():
@@ -270,7 +284,7 @@ def test_alternate_keeps_earliest_best_half_step():
     half = scripted([3.0, 1.0, 2.0, 1.0, 5.0])
     start = np.full(1, -1.0)
     delta, left, right, trace, reason = alternate(half, half, start, np.zeros(1), 0.0, 5)
-    # parameters at half-step k are k - 1; the tie at k = 4 would give (2, 3)
+    # parameters at half-step k are 2^(k-1) - 1; the tie at k = 4 would give (3, 7)
     assert (delta, left.tolist(), right.tolist()) == (1.0, [0.0], [1.0])
     assert [d for _, d in trace] == [3.0, 1.0, 2.0, 1.0, 5.0]
     assert reason == STOP_CAP
@@ -282,7 +296,7 @@ def test_alternate_stops_when_within_tolerance():
     delta, left, right, trace, reason = alternate(half, half, start, np.zeros(1), 1e-9, 10)
     assert reason == STOP_CONVERGED
     assert trace == ((1, 3.0), (2, 2.0), (3, 1e-10))
-    assert (delta, left.tolist(), right.tolist()) == (1e-10, [2.0], [1.0])
+    assert (delta, left.tolist(), right.tolist()) == (1e-10, [3.0], [1.0])
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7])
@@ -294,10 +308,85 @@ def test_alternate_runs_to_the_cap(cap):
 
 
 def test_alternate_parameters_beyond_the_key_range_are_no_cycle():
-    # parameters 1e300, 2e300, ... quantize past the float range; they differ
-    # at every half-step, so they must neither raise nor match as a cycle
-    half = lambda target: (1.0, target, target + 1e300)
+    # parameters 1e300, 2e300, 4e300, ... quantize past the float range; they
+    # differ at every half-step, so they must neither raise nor match as a cycle
+    half = lambda target: (1.0, target, 2 * target)
     start = np.full(1, 1e300)
     _, _, _, trace, reason = alternate(half, half, start, start, 0.0, 6)
     assert reason == STOP_CAP
     assert len(trace) == 6
+
+
+def translating(error, floor=-math.inf):
+    """Half-step stub: error, the target as parameters and target - 1 as
+    values while the target is above ``floor``, so each side's values fall
+    by 2 every two half-steps and no parameters repeat; at or below the
+    floor, error / 2 and the target itself."""
+    return lambda target: (error, target, target - 1) if target[0] > floor else (error / 2, target, target)
+
+
+def test_alternate_stops_on_translated_cycle():
+    delta, left, right, trace, reason = alternate(
+        translating(2.0), translating(1.0), np.zeros(2), np.zeros(2), 0.0, 20
+    )
+    assert reason == STOP_DRIFT
+    assert trace == ((1, 2.0), (2, 1.0), (3, 2.0), (4, 1.0), (5, 2.0))
+    # the earliest best half-step, k = 2: left fitted at k = 1, right at k = 2
+    assert (delta, left.tolist(), right.tolist()) == (1.0, [0.0, 0.0], [-1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "floor, cap, reason, steps, best",
+    [
+        # the values reach the floor at k = 8, within the cap: the probe at
+        # k = 5 sees the smaller error there, so the run goes on to it and
+        # stops when the parameters repeat
+        (-8.0, 40, STOP_CYCLE, 12, 0.5),
+        # the floor lies beyond the cap, so the translation holds to the end
+        (-100.0, 40, STOP_DRIFT, 5, 1.0),
+    ],
+)
+def test_alternate_translation_that_ends_before_the_cap_runs_on(floor, cap, reason, steps, best):
+    half = translating(1.0, floor)
+    delta, _, _, trace, stop = alternate(half, half, np.zeros(1), np.zeros(1), 0.0, cap)
+    assert (stop, len(trace), delta) == (reason, steps, best)
+
+
+def test_alternate_zero_step_is_a_cycle_not_a_drift():
+    # constant values, so every step is zero; the left parameters settle only
+    # at k = 3, so the parameters first repeat at k = 5, where the drift test
+    # also runs for the first time
+    params = iter([np.zeros(1), np.ones(1), np.ones(1)])
+    left = lambda target: (2.0, next(params), np.full(1, 3.0))
+    right = lambda target: (1.0, np.ones(1), np.full(1, 4.0))
+    _, _, _, trace, reason = alternate(left, right, np.zeros(1), np.full(1, 4.0), 0.0, 100)
+    assert reason == STOP_CYCLE
+    assert len(trace) == 5
+
+
+def test_alternate_translation_with_changing_error_does_not_stop():
+    # the values fall by 1 per half-step and the error halves with them
+    half = lambda target: (2.0 ** target[0], target, target - 1)
+    _, _, _, trace, reason = alternate(half, half, np.zeros(1), np.zeros(1), 0.0, 8)
+    assert reason == STOP_CAP
+    assert len(trace) == 8
+
+
+def test_alternate_translated_cycle_step_tolerance_is_relative():
+    # at values near 1e12, tau is about 1e3: steps of 1e4 that differ by 0.5
+    # once (the half-step from the target 1e12 - 1e4) are equal within tau,
+    # though not within 1e-9 absolute
+    top = 1e12
+    half = lambda target: (1.0, target, target - 5e3 + 0.5 * (target[0] == top - 1e4))
+    _, _, _, trace, reason = alternate(half, half, np.zeros(1), np.full(1, top), 0.0, 20)
+    assert reason == STOP_DRIFT
+    assert len(trace) == 5
+
+
+def test_alternate_error_tolerance_ignores_an_offset_of_the_values():
+    # values near 1e6 that translate while the error falls by 2e-7 a period:
+    # a tolerance of 1e-9 times the values (1e-3) would call that a repeat
+    half = lambda target: (1.0 + 1e-7 * (target[0] - 1e6), target, target - 1)
+    _, _, _, trace, reason = alternate(half, half, np.zeros(1), np.full(1, 1e6), 0.0, 30)
+    assert reason == STOP_CAP
+    assert len(trace) == 30
