@@ -24,15 +24,16 @@ pair minima (``pair_minima``).  Only the data's lower convex hull attains a
 pair minimum, so each entry takes the mu kernel over a few hull monomials
 rather than all O(M^2) monomial pairs: D costs O(M^2) kernel terms unless
 the hull has long collinear runs, or a far outlier makes the kernel's
-rounding error wider than the hull's turns.  The merges then cost
-O(M^2 log M) heap operations on quantized float maxima.  Polynomial objects
-are built only for the N final blocks.
+rounding error wider than the hull's turns.  The merges rank the quantized
+pair minima once into an integer key matrix, name each group by its least
+sample, and keep one heap entry per group: its least key and partner.  A
+merge costs O(M) array work and a few heap operations.  Polynomial objects
+are built, each from one array, only for the N final blocks.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -52,6 +53,9 @@ from .puiseux import (
 #: candidate pair, which makes runs reproducible across platforms.
 SCORE_QUANTUM = 1e-12
 
+#: Key of a pair that is not live in ``agglomerate``: above every rank.
+_DEAD = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -61,17 +65,20 @@ class SampleSet:
     ys: tuple[float, ...]
 
     def __init__(self, xs: Iterable[float], ys: Iterable[float]):
-        xs = tuple(float(x) for x in xs)
-        ys = tuple(float(y) for y in ys)
+        xs, ys = (np.array(v if isinstance(v, np.ndarray) else [*v], dtype=float) for v in (xs, ys))
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValueError("xs and ys must be sequences of numbers")
         if len(xs) != len(ys):
             raise ValueError("xs and ys must have equal length")
-        if not xs:
+        if not len(xs):
             raise ValueError("at least one sample required")
-        for v in (*xs, *ys):
-            if math.isnan(v) or math.isinf(v):
-                raise ValueError(f"sample coordinates must be finite, got {v!r}")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        both = np.concatenate((xs, ys))
+        finite = np.isfinite(both)
+        if not finite.all():
+            bad = both[finite.argmin()].item()
+            raise ValueError(f"sample coordinates must be finite, got {bad!r}")
+        object.__setattr__(self, "xs", tuple(xs.tolist()))
+        object.__setattr__(self, "ys", tuple(ys.tolist()))
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "SampleSet":
@@ -143,7 +150,7 @@ def score_blocks(blocks: Iterable[Iterable[int]], polys: np.ndarray) -> Exponent
     """
     scored = []
     for indices in sorted((sorted(block) for block in blocks), key=lambda block: block[0]):
-        poly = PuiseuxPoly(polys[indices].reshape(-1, 2).tolist())
+        poly = PuiseuxPoly(polys[indices].reshape(-1, 2))
         scored.append(PartitionBlock(frozenset(indices), poly, min_poly(poly)))
     minima = tuple(b.minimum.mu for b in scored)
     exponents = tuple(b.minimum.representative() for b in scored)
@@ -349,49 +356,64 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
 
         score(A + B, C) = max(score(A, B), score(A, C), score(B, C)).
 
+    Each merge takes the pair with the least score quantized to
+    SCORE_QUANTUM (+inf beyond the float range), ties going to the least
+    (least sample of one group, least sample of the other).  The quantized
+    scores are ranked once, which keeps their order and ties, and the ranks
+    live in the upper triangle of an M x M integer key matrix; every other
+    entry is _DEAD, above every rank.  A group is named by its least sample,
+    so the tie-break is the row-major order of the upper triangle.  The
+    heap holds one entry per row, (least key, row, partner), the partner
+    being the first column holding that key; an entry whose row has since
+    changed its partner or its key there is skipped on pop.  Merging a < b
+    writes the rule's row into row and column a, kills row and column b,
+    and re-pushes row a and every row whose partner was a or b: keys only
+    grow, so no other row's entry changes.
+
     The cost per call is D, O(M^2) kernel terms on data without long
-    collinear runs on its lower hull, plus O(M^2 log M) heap operations;
-    ``score_blocks`` builds polynomials and runs ``min_poly`` only on the n
-    final blocks.  Pair scores live in a lazy-deletion heap keyed by the
-    score quantized to SCORE_QUANTUM (a float, +inf for scores beyond the
-    float range once quantized; quantizing is monotone, so the rule above
-    holds for the keys) and the deterministic tie-break key; entries whose
-    clusters were already merged are skipped on pop.  Each block's exponent
-    is the representative point of its minimizing interval.
+    collinear runs on its lower hull, plus O(M) array work and a few heap
+    operations per merge; ``score_blocks`` builds polynomials and runs
+    ``min_poly`` only on the n final blocks.  Each block's exponent is the
+    representative point of its minimizing interval.
     """
     m = _check_polys(polys)
     check_count(n, "group count", m)
 
-    members: dict[int, list[int]] = {i: [i] for i in range(m)}
-    least = list(range(m))
-    keys: list[dict[int, float]] = [{} for _ in range(m)]
-    heap: list[tuple[float, tuple[int, int], int, int]] = []
-
-    def push(sa: int, sb: int, key: float) -> None:
-        keys[sa][sb] = keys[sb][sa] = key
-        la, lb = least[sa], least[sb]
-        tie = (la, lb) if la < lb else (lb, la)
-        heapq.heappush(heap, (key, tie, sa, sb))
-
     with np.errstate(over="ignore"):
         quantized = np.rint(pair_minima(polys) / SCORE_QUANTUM)
-    for a, row in enumerate(quantized.tolist()):
-        for b in range(a + 1, m):
-            push(a, b, row[b])
+    # The inverse's shape differs between numpy versions.
+    rank = np.unique(quantized, return_inverse=True)[1].reshape(m, m)
+    upper = np.arange(m)[:, None] < np.arange(m)
+    keys = np.full((m, m), _DEAD, dtype=np.int64)
+    keys[upper] = rank[upper]
 
+    members = {i: [i] for i in range(m)}
+    partner = np.full(m, -1)
+    heap: list[tuple[int, int, int]] = []
+
+    def push(rows: np.ndarray) -> None:
+        cols = keys[rows].argmin(axis=1)
+        least = keys[rows, cols]
+        partner[rows] = np.where(least == _DEAD, -1, cols)
+        for entry in zip(least.tolist(), rows.tolist(), cols.tolist()):
+            if entry[0] != _DEAD:
+                heapq.heappush(heap, entry)
+
+    push(np.arange(m))
     while len(members) > n:
-        while True:
-            _, _, sa, sb = heapq.heappop(heap)
-            if sa in members and sb in members:
-                break
-        snew = len(least)
-        members[snew] = members.pop(sa) + members.pop(sb)
-        least.append(min(least[sa], least[sb]))
-        keys.append({})
-        row_a, row_b = keys[sa], keys[sb]
-        inner = row_a[sb]
-        for sid in sorted(members):
-            if sid != snew:
-                push(sid, snew, max(inner, row_a[sid], row_b[sid]))
+        inner, a, b = heapq.heappop(heap)
+        while partner[a] != b or keys[a, b] != inner:
+            inner, a, b = heapq.heappop(heap)
+        members[a] += members.pop(b)
+        # key(a, c) and key(b, c) for every c, from whichever triangle holds them
+        row = np.maximum(np.minimum(keys[a], keys[:, a]), np.minimum(keys[b], keys[:, b]))
+        np.maximum(row, inner, out=row)
+        keys[a, a + 1 :] = row[a + 1 :]
+        keys[:a, a] = row[:a]
+        keys[b] = keys[:, b] = _DEAD
+        partner[b] = -1
+        stale = (partner == a) | (partner == b)
+        stale[a] = True
+        push(stale.nonzero()[0])
 
     return score_blocks(members.values(), polys)

@@ -38,27 +38,33 @@ ZERO_EXPONENT_TOL = 1e-12
 @dataclass(frozen=True)
 class PuiseuxPoly:
     """Canonical max-plus polynomial: monomials sorted by exponent, duplicate
-    exponents merged by coefficient max."""
+    exponents merged by coefficient max.  Of equal values that differ only
+    in the sign of a zero, the first seen is kept."""
 
     monomials: tuple[tuple[float, float], ...]
 
     def __init__(self, monomials: Iterable[tuple[float, float]]):
-        merged: dict[float, float] = {}
-        for p, t in monomials:
-            p = float(p)
-            t = float(t)
-            if math.isnan(p) or math.isinf(p):
-                raise ValueError(f"exponent must be a finite real, got {p!r}")
-            if math.isnan(t) or math.isinf(t):
-                raise ValueError(f"coefficient must be finite, got {t!r}")
-            if p in merged:
-                if t > merged[p]:
-                    merged[p] = t
-            else:
-                merged[p] = t
-        if not merged:
+        if not isinstance(monomials, np.ndarray):
+            monomials = [*monomials]
+        if not len(monomials):
             raise ValueError("a polynomial needs at least one monomial")
-        object.__setattr__(self, "monomials", tuple(sorted(merged.items())))
+        mons = np.asarray(monomials, dtype=float)
+        if mons.ndim != 2 or mons.shape[1] != 2:
+            raise ValueError(f"monomials must be (exponent, coefficient) pairs, got {mons.shape}")
+        finite = np.isfinite(mons)
+        if not finite.all():
+            bad = mons[~finite][0].item()
+            raise ValueError(f"exponents and coefficients must be finite, got {bad!r}")
+        # Sort by exponent, then larger coefficient first, then input order
+        # (complex numbers sort by real part, then imaginary part).  Each run
+        # of equal exponents then starts with its first-seen max coefficient,
+        # and its least input index holds its first-seen exponent.
+        order = np.argsort(mons[:, 0] - 1j * mons[:, 1], kind="stable")
+        p = mons[order, 0]
+        starts = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+        exponents = mons[np.minimum.reduceat(order, starts), 0]
+        coefficients = mons[order[starts], 1]
+        object.__setattr__(self, "monomials", tuple(zip(exponents.tolist(), coefficients.tolist())))
 
     @property
     def exponents(self) -> tuple[float, ...]:

@@ -9,12 +9,14 @@ on ``PuiseuxPoly`` objects where the library works on one float array: one
 polynomial per sample (``sample_polynomials``), tropical sums by
 concatenation (``poly_sum``) and subset minima by ``min_poly`` of the sum
 (``merged_minimum``).  ``agglomerate_by_merging`` is the exponent search
-written from its definition: it shares the mu kernel and the heap keys with
-``agglomerate`` but rebuilds and rescores merged polynomials after every
-merge, so the complete-linkage updates on pair minima must agree with it bit
-for bit.  ``pair_minima_kernel`` builds the pair minima with every monomial
+written from its definition: it shares the mu kernel, the quantized scores
+and the tie-break with ``agglomerate`` but keeps a heap of every live pair
+and rebuilds and rescores merged polynomials after every merge, so the
+complete-linkage updates on ranked pair minima must agree with it bit for
+bit.  ``pair_minima_kernel`` builds the pair minima with every monomial
 pair in the mu kernel, the reference for the hull candidates of
-``clustering.pair_minima``.
+``clustering.pair_minima``.  ``canonical_monomials`` is the dict merge that
+``PuiseuxPoly`` replaced with array operations.
 """
 
 import heapq
@@ -133,6 +135,18 @@ def poly_sum(polys):
     return PuiseuxPoly([mon for poly in polys for mon in poly.monomials])
 
 
+def canonical_monomials(monomials):
+    """``PuiseuxPoly``'s canonical form built with a dict: the first-seen
+    exponent of each value (0.0 or -0.0), its first-seen max coefficient,
+    sorted by exponent."""
+    merged = {}
+    for p, t in monomials:
+        p, t = float(p), float(t)
+        if p not in merged or t > merged[p]:
+            merged[p] = t
+    return tuple(sorted(merged.items()))
+
+
 def merged_minimum(subset, polys):
     """``min_poly`` of the tropical sum of the subset's polynomials."""
     indices = sorted(set(subset))
@@ -194,9 +208,9 @@ def agglomerate_by_merging(polys, n):
     """Reference greedy search over ``sample_polynomials``: every candidate
     pair is scored by the mu formula on the concatenation of the two
     clusters' merged polynomials, and a merge builds the merged polynomial
-    with ``poly_sum``.  Same heap keys and tie-break as
-    ``clustering.agglomerate``; each final block is scored by ``min_poly`` of
-    its merged polynomial."""
+    with ``poly_sum``.  Same quantized scores and tie-break as
+    ``clustering.agglomerate``, on a lazy-deletion heap of pairs; each final
+    block is scored by ``min_poly`` of its merged polynomial."""
     m = len(polys)
     if not 1 <= n <= m:
         raise ValueError(f"group count must be in 1..{m}, got {n}")
@@ -210,7 +224,9 @@ def agglomerate_by_merging(polys, n):
         if score == -math.inf:
             raise ValueError("merged polynomial has an unattained minimum")
         tie = (min(ca.least, cb.least), max(ca.least, cb.least))
-        heapq.heappush(heap, (round(score / SCORE_QUANTUM), tie, sa, sb))
+        # A quantized score beyond the float range stays +inf, as in the library.
+        key = score / SCORE_QUANTUM
+        heapq.heappush(heap, (round(key) if math.isfinite(key) else key, tie, sa, sb))
 
     for a in range(m):
         for b in range(a + 1, m):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropfit import SampleSet, agglomerate, best_approx_solve, error_polynomials
-from tropfit.clustering import pair_minima
+from tropfit.clustering import SCORE_QUANTUM, pair_minima
 
 from oracles import (
     agglomerate_by_merging,
@@ -38,9 +38,17 @@ def test_sampleset_validation():
         SampleSet([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         SampleSet([float("inf")], [0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"sample coordinates must be finite, got {bad!r}"):
+            SampleSet([0.0, 1.0], np.array([2.0, bad]))
+    with pytest.raises(ValueError):
+        SampleSet([[0.0, 1.0]], [[2.0, 3.0]])
     s = SampleSet.from_points([(1.0, 2.0), (3.0, 4.0)])
     assert s.points == ((1.0, 2.0), (3.0, 4.0))
     assert len(s) == 2
+    s = SampleSet(np.array([1, 3]), iter([np.float64(2.0), 4]))
+    assert s.points == ((1.0, 2.0), (3.0, 4.0))
+    assert all(type(v) is float for v in s.xs + s.ys)
 
 
 def test_error_polynomials_two_samples():
@@ -209,11 +217,8 @@ def tie_heavy_samplesets(draw, max_size=30):
                      draw(st.lists(ys, min_size=m, max_size=m)))
 
 
-@settings(max_examples=15, deadline=None)
-@given(tie_heavy_samplesets())
-def test_agglomerate_matches_merging_reference(samples):
-    """Complete-linkage updates on the pair minima reproduce the search that
-    rebuilds and rescores merged polynomials, bit for bit, at every n."""
+def assert_matches_merging_reference(samples):
+    """``agglomerate`` equals ``agglomerate_by_merging`` at every n."""
     polys = error_polynomials(samples)
     objects = sample_polynomials(samples)
     for n in range(1, len(samples) + 1):
@@ -223,6 +228,84 @@ def test_agglomerate_matches_merging_reference(samples):
         assert fast.exponents == ref.exponents
         assert fast.subset_minima == ref.subset_minima
         assert fast.delta_star == ref.delta_star
+
+
+@settings(max_examples=15, deadline=None)
+@given(tie_heavy_samplesets())
+def test_agglomerate_matches_merging_reference(samples):
+    """Complete-linkage updates on the pair minima reproduce the search that
+    rebuilds and rescores merged polynomials, bit for bit, at every n."""
+    assert_matches_merging_reference(samples)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_agglomerate_matches_merging_reference_on_random_sets(seed):
+    """Generic merges, where a row whose partner was merged away must find
+    its next partner."""
+    assert_matches_merging_reference(random_sampleset(np.random.default_rng(seed), 12))
+
+
+def quantized_keys(samples):
+    """The off-diagonal pair minima quantized as ``agglomerate`` keys them."""
+    d = pair_minima(error_polynomials(samples))
+    with np.errstate(over="ignore"):
+        keys = np.rint(d / SCORE_QUANTUM)
+    return keys[~np.eye(len(samples), dtype=bool)]
+
+
+def least_pair_order(m, n):
+    """The partition of merging the least pair of groups m - n times."""
+    return (tuple(range(m - n + 1)), *((i,) for i in range(m - n + 1, m)))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        # One abscissa: every pair minimum is near 1e300, so every key is +inf.
+        SampleSet([0.0] * 6, [1e300, -1e300, 5e299, -5e299, 0.0, 2e299]),
+        # Exactly collinear: every key is 0.
+        SampleSet(range(8), [0.5 * x - 1.0 for x in range(8)]),
+        SampleSet([0.3, 0.1, 0.4, 0.0, 0.2], [-2.0, 2.0, -4.0, 4.0, 0.0]),
+    ],
+    ids=["huge-ordinates-one-abscissa", "collinear", "collinear-unsorted"],
+)
+def test_agglomerate_all_keys_tied_merges_least_pairs_first(samples):
+    keys = quantized_keys(samples)
+    assert (keys == keys[0]).all()
+    m = len(samples)
+    for n in range(1, m + 1):
+        assert agglomerate(error_polynomials(samples), n).partition.index_sets() == \
+            least_pair_order(m, n)
+    assert_matches_merging_reference(samples)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        (range(6), [1e300, -1e300, 1e300, -1e300, 1e300, -1e300]),
+        (range(6), [-1e300, 1e300, -1e300, 1e300, -1e300, 1e300]),
+        ([0, 2, 1, 4, 3, 6, 5], [0.0, 1e300, -1e300, 1e300, -1e300, 1e300, -1e300]),
+        ([0.0, 0.0, 1.0, 1.0, 2.0, 3.0], [1e300, -1e300, 5e299, 1e300, -5e299, 1e300]),
+    ],
+    ids=["alternating", "alternating-low-first", "unsorted", "repeated-abscissae"],
+)
+def test_agglomerate_huge_ordinates_match_merging_reference(xs, ys):
+    """Most keys overflow to +inf; the merges still follow the least pair."""
+    samples = SampleSet(xs, ys)
+    assert np.isinf(quantized_keys(samples)).sum() > len(samples)
+    assert_matches_merging_reference(samples)
+
+
+def test_agglomerate_without_merges():
+    single = SampleSet([0.5], [1.0])
+    res = agglomerate(error_polynomials(single), 1)
+    assert res.partition.index_sets() == ((0,),)
+    assert res.delta_star == 0.0
+    assert_matches_merging_reference(single)
+    samples = random_sampleset(np.random.default_rng(11), 7)
+    res = agglomerate(error_polynomials(samples), 7)
+    assert res.partition.index_sets() == tuple((i,) for i in range(7))
+    assert res == agglomerate_by_merging(sample_polynomials(samples), 7)
 
 
 @settings(max_examples=30, deadline=None)

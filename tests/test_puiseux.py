@@ -3,6 +3,7 @@ closed-form minimum against grid search."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from tropfit import (
     min_poly,
 )
 
-from oracles import grid_min, poly_sum
+from oracles import canonical_monomials, grid_min, poly_sum
 
 coeff = st.floats(min_value=-9.0, max_value=9.0, allow_nan=False, allow_infinity=False)
 
@@ -69,6 +70,63 @@ def test_poly_validation():
 def test_canonicalization_merges_duplicates():
     poly = PuiseuxPoly([(1.0, 2.0), (1.0, 5.0), (0.0, 1.0)])
     assert poly.monomials == ((0.0, 1.0), (1.0, 5.0))
+    poly = PuiseuxPoly([(2.0, -1.0), (-1.0, 3.0), (2.0, 4.0), (2.0, 0.5), (-1.0, 3.5)])
+    assert poly.monomials == ((-1.0, 3.5), (2.0, 4.0))
+
+
+def signs(monomials):
+    return [(math.copysign(1.0, p), math.copysign(1.0, t)) for p, t in monomials]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_canonicalization_keeps_the_first_seen_zero(first):
+    second = -first
+    # the zero exponent of the first monomial, with the larger coefficient of the second
+    (p, t), = PuiseuxPoly([(first, 1.0), (second, 2.0)]).monomials
+    assert (p, t) == (0.0, 2.0) and math.copysign(1.0, p) == math.copysign(1.0, first)
+    # tied max coefficients 0.0 and -0.0 keep the first seen
+    poly = PuiseuxPoly([(1.0, -5.0), (1.0, first), (1.0, second), (first, second), (second, first)])
+    assert signs(poly.monomials) == signs([(first, second), (1.0, first)])
+
+
+def test_constructor_accepts_any_iterable_of_pairs():
+    pairs = [(1.0, 2.0), (-0.5, 1.0), (1.0, 3.0)]
+    expected = ((-0.5, 1.0), (1.0, 3.0))
+    exponents, coefficients = zip(*pairs)
+    for monomials in (pairs, [list(m) for m in pairs], tuple(pairs), zip(exponents, coefficients),
+                      (m for m in pairs), np.array(pairs), np.array([(1, 2), (-0.5, 1), (1, 3)])):
+        poly = PuiseuxPoly(monomials)
+        assert poly.monomials == expected
+        assert all(type(v) is float for m in poly.monomials for v in m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite(bad):
+    for monomials in ([(0.0, 1.0), (bad, 1.0)], [(0.0, 1.0), (1.0, bad)], np.array([[bad, bad]])):
+        with pytest.raises(ValueError, match="finite"):
+            PuiseuxPoly(monomials)
+
+
+@pytest.mark.parametrize(
+    "monomials",
+    [[], (), iter([]), np.empty((0, 2)), [(1.0,)], [(1.0, 2.0, 3.0)], [(1.0, 2.0), (1.0, 2.0, 3.0)],
+     [(1.0, 2.0), (3.0,)], [1.0, 2.0], np.ones((2, 3)), np.ones(4)],
+    ids=["empty-list", "empty-tuple", "empty-iterator", "empty-array", "1-tuple", "3-tuple",
+         "ragged-long", "ragged-short", "flat", "array-k-3", "array-1d"],
+)
+def test_constructor_rejects_empty_or_non_pairs(monomials):
+    with pytest.raises(ValueError):
+        PuiseuxPoly(monomials)
+
+
+@given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                          st.sampled_from([-2.0, -0.0, 0.0, 1.0, 3.0])), min_size=1, max_size=12))
+def test_canonicalization_matches_the_dict_build(monomials):
+    """Bit for bit, signs of zero included, what a dict merge gives."""
+    got = PuiseuxPoly(monomials).monomials
+    expected = canonical_monomials(monomials)
+    assert got == expected
+    assert signs(got) == signs(expected)
 
 
 @given(
