@@ -22,31 +22,32 @@ so a group's score is the largest merged minimum over its pairs of samples.
 The search is therefore complete-linkage clustering on the M x M matrix of
 pair minima (``pair_minima``).  Only the data's lower convex hull attains a
 pair minimum, so each entry takes the mu kernel over a few hull monomials
-rather than all O(M^2) monomial pairs: D costs O(M^2) kernel terms unless
-the hull has long collinear runs, or a far outlier makes the kernel's
-rounding error wider than the hull's turns.  The merges rank the quantized
-pair minima once into an integer key matrix, name each group by its least
-sample, and keep one heap entry per group: its least key and partner.  A
-merge costs O(M) array work and a few heap operations.  Polynomial objects
-are built, each from one array, only for the N final blocks.
+rather than all O(M^2) monomial pairs, and none when those leave one side of
+the formula empty: D costs O(M^2) kernel terms unless the hull has long
+collinear runs, or a far outlier makes the kernel's rounding error wider
+than the hull's turns.  The merges rank the quantized pair minima once into
+an integer key matrix, name each group by its least sample, and keep one
+heap entry per group: its least key and partner.  A merge costs O(M) array
+work and a few heap operations.  The N final blocks are scored from D as
+well: a block's minimum is the largest entry of D over its pairs, and its
+interval of minimizers comes from its members' rows of E.  The search
+builds no polynomial object.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from .linalg import check_count
-from .puiseux import (
-    ZERO_EXPONENT_TOL,
-    PolyMinimum,
-    PuiseuxPoly,
-    min_poly,
-    pairwise_minimum_value,
-)
+from .puiseux import ZERO_EXPONENT_TOL, PolyMinimum, minimum_at, pairwise_minimum_value
+# perfbench/tracing.py finds min_poly here by name; its metrics need it bound.
+from .puiseux import min_poly  # noqa: F401
 
 #: Merged-minimum scores within this tolerance are tied; ties are broken by
 #: the lexicographically smallest (min sample index, max sample index) of the
@@ -98,8 +99,8 @@ def error_polynomials(samples: SampleSet) -> np.ndarray:
 
     Row i holds E_i's monomials E[i, j] = (x_j - x_i, y_i - y_j), one per
     sample j and not deduplicated: duplicate abscissae give repeated
-    exponents, which only the block polynomials of ``score_blocks`` merge by
-    coefficient max.  E[i, i] = (0, 0), so E_i(p) >= 0 for all p.  Raises
+    exponents, whose smaller coefficients only add dominated terms to the
+    closed forms.  E[i, i] = (0, 0), so E_i(p) >= 0 for all p.  Raises
     ValueError when a difference overflows the float range.
     """
     xs = np.array(samples.xs)
@@ -113,10 +114,9 @@ def error_polynomials(samples: SampleSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionBlock:
-    """One group of sample indices with its merged polynomial and minimum."""
+    """One group of sample indices with the minimum of its merged polynomial."""
 
     indices: frozenset[int]
-    poly: PuiseuxPoly
     minimum: PolyMinimum
 
 
@@ -141,20 +141,28 @@ class ExponentResult:
     partition: Partition
 
 
-def score_blocks(blocks: Iterable[Iterable[int]], polys: np.ndarray) -> ExponentResult:
+def score_blocks(
+    blocks: Iterable[Iterable[int]], polys: np.ndarray, minima: np.ndarray
+) -> ExponentResult:
     """Score blocks of sample indices and assemble the search output, blocks
     ordered by least index.
 
     A block's merged polynomial is the tropical sum of its members' rows of
-    ``polys``, and ``min_poly`` gives its minimum and exponent.
+    ``polys``, and its minimum is the largest of the ``pair_minima`` matrix
+    ``minima`` over the block's pairs of samples.  ``minimum_at`` gives the
+    interval of minimizers from the members' rows, and the block's exponent
+    is the interval's representative point: the same values as ``min_poly``
+    on the merged polynomial, with no polynomial built.
     """
     scored = []
     for indices in sorted((sorted(block) for block in blocks), key=lambda block: block[0]):
-        poly = PuiseuxPoly(polys[indices].reshape(-1, 2))
-        scored.append(PartitionBlock(frozenset(indices), poly, min_poly(poly)))
-    minima = tuple(b.minimum.mu for b in scored)
+        mu = float(minima[np.ix_(indices, indices)].max())
+        rows = polys[indices]
+        minimum = minimum_at(mu, rows[..., 0], rows[..., 1])
+        scored.append(PartitionBlock(frozenset(indices), minimum))
+    mus = tuple(b.minimum.mu for b in scored)
     exponents = tuple(b.minimum.representative() for b in scored)
-    return ExponentResult(exponents, minima, max(minima), Partition(tuple(scored)))
+    return ExponentResult(exponents, mus, max(mus), Partition(tuple(scored)))
 
 
 #: Elements per temporary of one pair-kernel call: 256 KiB of float64, so the
@@ -190,9 +198,11 @@ def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     of differences: a float difference has the sign of the exact one, so
     the order and the lowest point per abscissa are exact, and each turn
     test takes both vectors from its first point's own row.  Only clearly
-    concave turns drop a point, so collinear and near-collinear points (and
-    those whose turn test overflows) stay on the chain; a strict vertex is
-    an end or a clearly convex turn.  A turn is clear when its two
+    concave turns drop a point, so collinear and near-collinear points stay
+    on the chain; a strict vertex is an end or a clearly convex turn.  A
+    turn test that overflows is decided in exact rational arithmetic, since
+    a point kept for it could lie far off the hull and make its neighbours'
+    turns look strict.  A turn is clear when its two
     cross-product terms differ by more than _TURN_TOL of their magnitudes
     and the middle point is off the line through its neighbours by more
     than _TURN_TOL of the largest ordinate difference: the kernel's rounding
@@ -206,9 +216,16 @@ def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def turn(a: int, b: int, c: int) -> int:
         # u - v is b's height above the line from a to c, times x_c - x_a
-        u = entry(a, b, 0) * entry(a, c, 1)
-        v = entry(a, b, 1) * entry(a, c, 0)
-        if not abs(u - v) > max(_TURN_TOL * (abs(u) + abs(v)), band * entry(a, c, 0)):
+        bx, by, cx, cy = entry(a, b, 0), entry(a, b, 1), entry(a, c, 0), entry(a, c, 1)
+        u, v = bx * cy, by * cx
+        terms = abs(u - v), _TURN_TOL * (abs(u) + abs(v)), band * cx
+        if not all(map(math.isfinite, terms)):
+            # An overflow decides nothing; exact rationals do.
+            bx, by, cx, cy, tol, width = map(Fraction, (bx, by, cx, cy, _TURN_TOL, band))
+            u, v = bx * cy, by * cx
+            terms = abs(u - v), tol * (abs(u) + abs(v)), width * cx
+        diff, scale, height = terms
+        if not diff > max(scale, height):
             return 0
         return 1 if u < v else -1
 
@@ -270,8 +287,9 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     that p* falls at to the one after it; C[i, i], and C[i, k] for equal
     abscissae, over the chain from the strict vertex before x_i to the one
     after.  Of that window, row i's negative side is the part left of x_i
-    and row k's positive side the part right of x_k.  z_i takes the whole
-    row.
+    and row k's positive side the part right of x_k; when either is empty,
+    C[i, k] = -inf with no kernel call (about half the ordered pairs on
+    smooth data).  z_i takes the whole row.
 
     Every candidate term is one the full mu formula computes, from the same
     entries of ``polys`` by the same kernel, so D is never above the full
@@ -322,11 +340,14 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     neg_p, neg_t = np.where(neg_c, exp_c, -1.0), np.where(neg_c, coef_c, -np.inf)
     pos_p, pos_t = np.where(pos_c, exp_c, 1.0), np.where(pos_c, coef_c, -np.inf)
 
-    cross = np.empty(m * m)
+    # A pair with no candidate on one side has no candidate term: C = -inf.
+    live = np.flatnonzero((neg_hi >= lo) & (pos_lo <= hi))
+    cross = np.full(m * m, -np.inf)
     no_zero = np.empty(0)
     shape = neg_w * (int(pos_w.max()) + 1) + pos_w
-    order = np.argsort(shape, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
+    order = live[np.argsort(shape[live], kind="stable")]
+    groups = np.split(order, np.flatnonzero(np.diff(shape[order])) + 1) if order.size else []
+    for group in groups:
         wn, wp = int(neg_w[group[0]]), int(pos_w[group[0]])
         block = max(1, _KERNEL_BLOCK // (wn * wp))
         for start in range(0, len(group), block):
@@ -372,15 +393,17 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
 
     The cost per call is D, O(M^2) kernel terms on data without long
     collinear runs on its lower hull, plus O(M) array work and a few heap
-    operations per merge; ``score_blocks`` builds polynomials and runs
-    ``min_poly`` only on the n final blocks.  Each block's exponent is the
-    representative point of its minimizing interval.
+    operations per merge.  ``score_blocks`` then reads the n final blocks'
+    minima from the same D and their minimizing intervals from their rows
+    of ``polys``; each block's exponent is its interval's representative
+    point.
     """
     m = _check_polys(polys)
     check_count(n, "group count", m)
 
     with np.errstate(over="ignore"):
-        quantized = np.rint(pair_minima(polys) / SCORE_QUANTUM)
+        minima = pair_minima(polys)
+        quantized = np.rint(minima / SCORE_QUANTUM)
     # The inverse's shape differs between numpy versions.
     rank = np.unique(quantized, return_inverse=True)[1].reshape(m, m)
     upper = np.arange(m)[:, None] < np.arange(m)
@@ -416,4 +439,4 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
         stale[a] = True
         push(stale.nonzero()[0])
 
-    return score_blocks(members.values(), polys)
+    return score_blocks(members.values(), polys, minima)

@@ -34,6 +34,7 @@ from .clustering import (
     SampleSet,
     agglomerate,
     error_polynomials,
+    pair_minima,
     score_blocks,
 )
 from .linalg import alternate, check_count, matvec, residuate
@@ -149,9 +150,10 @@ def brute_force_poly_fit(samples: SampleSet, n: int) -> PolyFit:
         )
     check_count(n, "monomial count", m)
     polys = error_polynomials(samples)
+    minima = pair_minima(polys)
     best: ExponentResult | None = None
     for partition in _set_partitions(m, n):
-        result = score_blocks(partition, polys)
+        result = score_blocks(partition, polys, minima)
         if best is None or result.delta_star < best.delta_star:
             best = result
     return _poly_fit(samples, best)

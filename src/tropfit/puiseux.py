@@ -19,6 +19,14 @@ together with the interval of minimizers
 
 This costs O(N^2).  When every exponent is strictly one-signed the infimum is
 -inf and is not attained; that case is reported, not raised.
+
+``minimum_at`` holds the interval formula.  ``min_poly`` feeds it the mu
+above; the exponent search feeds it a mu it already knows (the largest pair
+minimum over a block) with the block's monomials as they are, unsorted and
+unmerged.  It reports a zero minimum as 0.0, never -0.0: of tied 0.0 and
+-0.0 terms, numpy's max returns one that depends on the array's length and
+order, so only a fixed sign gives both callers the same result, down to
+the signs of zero interval ends.
 """
 
 from __future__ import annotations
@@ -173,14 +181,29 @@ def pairwise_minimum_value(
     return float(mu) if np.ndim(mu) == 0 else mu
 
 
+def minimum_at(mu: float, exponents: np.ndarray, coefficients: np.ndarray) -> PolyMinimum:
+    """The attained minimum mu of the polynomial with these monomials, with
+    its interval of minimizers by the closed form above; a zero mu is
+    reported as 0.0.
+
+    The monomials may come in any order and repeat an exponent: float
+    subtraction and division are monotone in theta_j, so a repeated
+    exponent's smaller coefficients never set an end of the interval, and
+    the ends equal those of the canonical polynomial.
+    """
+    mu += 0.0  # -0.0 + 0.0 is 0.0
+    neg = exponents < -ZERO_EXPONENT_TOL
+    pos = exponents > ZERO_EXPONENT_TOL
+    lower = float(((mu - coefficients[neg]) / exponents[neg]).max()) if neg.any() else None
+    upper = float(((mu - coefficients[pos]) / exponents[pos]).min()) if pos.any() else None
+    return PolyMinimum(mu, lower, upper)
+
+
 def min_poly(poly: PuiseuxPoly) -> PolyMinimum:
     """Minimize a polynomial over the real line by the closed form above."""
     ps = np.array(poly.exponents, dtype=float)
     ts = np.array(poly.coefficients, dtype=float)
-    neg_p, neg_t, pos_p, pos_t, zero_t = _split_by_sign(ps, ts)
-    mu = pairwise_minimum_value(neg_p, neg_t, pos_p, pos_t, zero_t)
+    mu = pairwise_minimum_value(*_split_by_sign(ps, ts))
     if mu == -math.inf:
         return PolyMinimum(mu, None, None, attained=False)
-    lower = float(((mu - neg_t) / neg_p).max()) if neg_p.size else None
-    upper = float(((mu - pos_t) / pos_p).min()) if pos_p.size else None
-    return PolyMinimum(mu, lower, upper)
+    return minimum_at(mu, ps, ts)

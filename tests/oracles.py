@@ -244,7 +244,7 @@ def agglomerate_by_merging(polys, n):
                 push(sid, serial)
         serial += 1
     blocks = [
-        PartitionBlock(c.indices, c.poly, min_poly(c.poly))
+        PartitionBlock(c.indices, min_poly(c.poly))
         for c in sorted(clusters.values(), key=lambda c: c.least)
     ]
     minima = tuple(b.minimum.mu for b in blocks)

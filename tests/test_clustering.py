@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropfit import SampleSet, agglomerate, best_approx_solve, error_polynomials
-from tropfit.clustering import SCORE_QUANTUM, pair_minima
+from tropfit import SampleSet, agglomerate, best_approx_solve, error_polynomials, min_poly
+from tropfit.clustering import SCORE_QUANTUM, pair_minima, score_blocks
 
 from oracles import (
     agglomerate_by_merging,
@@ -24,6 +24,7 @@ from oracles import (
     merged_minimum,
     monomial_matrix,
     pair_minima_kernel,
+    poly_sum,
     random_sampleset,
     sample_polynomials,
 )
@@ -66,8 +67,11 @@ def test_error_polynomials_duplicate_abscissae():
     # rows keep one monomial per sample; the block polynomial merges them by
     # coefficient max, so exponent 0 carries max(0, 0-3) for the first sample
     assert polys.tolist() == [[[0.0, 0.0], [0.0, -3.0]], [[0.0, 3.0], [0.0, 0.0]]]
-    blocks = agglomerate(polys, 2).partition.blocks
-    assert [b.poly.monomials for b in blocks] == [((0.0, 0.0),), ((0.0, 3.0),)]
+    res = agglomerate(polys, 2)
+    objects = sample_polynomials(SampleSet([1.0, 1.0], [0.0, 3.0]))
+    merged = [poly_sum(objects[i] for i in block) for block in res.partition.index_sets()]
+    assert [poly.monomials for poly in merged] == [((0.0, 0.0),), ((0.0, 3.0),)]
+    assert [b.minimum for b in res.partition.blocks] == [min_poly(poly) for poly in merged]
 
 
 def test_error_polynomials_contain_unit_monomial():
@@ -383,13 +387,57 @@ _UNSORTED = [(7 * k % 13) / 6 for k in range(13)]
         ([1e15, 0.0, 0.01, 0.02], [0.0, 0.0, -1.0, 0.0]),
         # Rounding at 1e300 lets sample 2, off the hull by 0.07, attain D[0, 0].
         ([0.5, 0.0, 0.1, 1.5], [1e300, 0.0, 0.0, -1.0]),
+        # The turn test at sample 3, far above the hull, overflows in sample
+        # 1's row; kept on the chain, sample 3 would make sample 1 a strict
+        # vertex and cut the windows short of the pair that attains D[1, 1].
+        ([1e15, 1.0, -3.0, 2.0], [0.0, 2.0, -1.0, 1e300]),
+        # Every window ends at the pair's own samples, so each C[i, k] with
+        # x_i <= x_k has an empty side and no kernel call: 78 of 144 pairs.
+        # The M = 1, M = 2 (3 of 4) and one-abscissa (all) cases above skip too.
+        ([0.1 * k for k in range(12)], [(0.1 * k - 0.55) ** 2 for k in range(12)]),
     ],
     ids=["m1", "m2", "m2-unsorted", "one-abscissa", "collinear", "repeated-points",
          "unsorted-noisy", "offset-1e6", "magnitude-1e15", "huge-ordinates",
-         "huge-ordinate-first", "far-abscissa-first", "huge-ordinate-off-hull"],
+         "huge-ordinate-first", "far-abscissa-first", "huge-ordinate-off-hull",
+         "overflowing-turn", "strictly-convex"],
 )
 def test_pair_minima_equal_the_full_kernel_on_edge_cases(xs, ys):
     assert_pair_minima_match_kernel(SampleSet(xs, ys))
+
+
+@st.composite
+def signed_zero_samplesets(draw):
+    """A tie-heavy, near-collinear or outlier-first set with some of its
+    zero ordinates turned to -0.0."""
+    samples = draw(st.one_of(tie_heavy_samplesets(), near_collinear_samplesets(),
+                             outlier_first_samplesets()))
+    m = len(samples)
+    negative = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return SampleSet(samples.xs, [-0.0 if y == 0 and flip else y
+                                  for y, flip in zip(samples.ys, negative)])
+
+
+def same_float(a, b):
+    return a == b and (a is None or np.signbit(a) == np.signbit(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_zero_samplesets(), st.data())
+def test_score_blocks_equal_merged_minima(samples, data):
+    """Blocks scored from D and the members' rows equal ``min_poly`` of the
+    merged polynomial, down to the sign of a zero."""
+    m = len(samples)
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = [[i for i in range(m) if labels[i] == b] for b in sorted(set(labels))]
+    polys = error_polynomials(samples)
+    result = score_blocks(blocks, polys, pair_minima(polys))
+    objects = sample_polynomials(samples)
+    for block, scored in zip(sorted(blocks), result.partition.blocks):
+        got, ref = scored.minimum, merged_minimum(block, objects)
+        assert scored.indices == frozenset(block)
+        for a, b in ((got.mu, ref.mu), (got.lower, ref.lower), (got.upper, ref.upper),
+                     (got.representative(), ref.representative())):
+            assert same_float(a, b)
 
 
 # --- max/min identities ------------------------------------------------------------

@@ -202,6 +202,13 @@ def test_min_poly_examples_against_grid(monomials):
     assert lo - 2e-3 <= arg <= hi + 2e-3
 
 
+def test_min_poly_reports_a_zero_minimum_as_positive_zero():
+    # The one cross term is -0.0 * 0.5 + -0.0 * 0.5 = -0.0.
+    pm = min_poly(PuiseuxPoly([(-1.0, -0.0), (1.0, -0.0)]))
+    assert (repr(pm.mu), repr(pm.lower), repr(pm.upper)) == ("0.0", "-0.0", "0.0")
+    assert repr(pm.representative()) == "0.0"
+
+
 def test_min_poly_one_signed_is_unbounded():
     pm = min_poly(PuiseuxPoly([(1.0, 0.0), (2.0, 1.0)]))
     assert not pm.attained
