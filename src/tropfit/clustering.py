@@ -21,23 +21,20 @@ is a max over monomial pairs, and each pair comes from at most two members,
 so a group's score is the largest merged minimum over its pairs of samples.
 The search is therefore complete-linkage clustering on the M x M matrix of
 pair minima (``pair_minima``).  Only the data's lower convex hull attains a
-pair minimum, so each entry takes the mu kernel over a few hull monomials
-rather than all O(M^2) monomial pairs, and none when those leave one side of
-the formula empty: D costs O(M^2) kernel terms unless the hull has long
-collinear runs, or a far outlier makes the kernel's rounding error wider
-than the hull's turns.  The merges rank the quantized pair minima once into
-an integer key matrix, name each group by its least sample, and keep one
-heap entry per group: its least key and partner.  A merge costs O(M) array
-work and a few heap operations.  The N final blocks are scored from D as
-well: a block's minimum is the largest entry of D over its pairs, and its
-interval of minimizers comes from its members' rows of E.  The search
-builds no polynomial object.
+pair minimum, so each entry is one term of the mu formula, at the hull
+vertex that supports the pair's chord, rather than the max over all O(M^2)
+monomial pairs: D costs O(M^2) array work on any data.  The merges rank the
+quantized pair minima once into an integer key matrix, name each group by
+its least sample, and keep one heap entry per group: its least key and
+partner.  A merge costs O(M) array work and a few heap operations.  The N
+final blocks are scored from D as well: a block's minimum is the largest
+entry of D over its pairs, and its interval of minimizers comes from its
+members' rows of E.  The search builds no polynomial object.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -45,9 +42,10 @@ from typing import Iterable
 import numpy as np
 
 from .linalg import check_count
-from .puiseux import ZERO_EXPONENT_TOL, PolyMinimum, minimum_at, pairwise_minimum_value
-# perfbench/tracing.py finds min_poly here by name; its metrics need it bound.
-from .puiseux import min_poly  # noqa: F401
+from .puiseux import ZERO_EXPONENT_TOL, PolyMinimum, minimum_at
+# perfbench/tracing.py finds min_poly and pairwise_minimum_value here by
+# name; its metrics need them bound.
+from .puiseux import min_poly, pairwise_minimum_value  # noqa: F401
 
 #: Merged-minimum scores within this tolerance are tied; ties are broken by
 #: the lexicographically smallest (min sample index, max sample index) of the
@@ -165,18 +163,6 @@ def score_blocks(
     return ExponentResult(exponents, mus, max(mus), Partition(tuple(scored)))
 
 
-#: Elements per temporary of one pair-kernel call: 256 KiB of float64, so the
-#: few temporaries alive at once stay near 1 MiB and in cache.
-_KERNEL_BLOCK = 1 << 15
-
-#: A turn of the lower hull chain is strictly convex, or strictly concave,
-#: only when its two cross-product terms differ by more than this share of
-#: their magnitudes, and its middle point is off the line by more than this
-#: share of the largest ordinate difference; turns in between keep the point
-#: on the chain.
-_TURN_TOL = 1e-12
-
-
 def _check_polys(polys: np.ndarray) -> int:
     """M for an (M, M, 2) error-polynomial array with M >= 1 and (0, 0) on
     the diagonal, else ValueError."""
@@ -188,80 +174,45 @@ def _check_polys(polys: np.ndarray) -> int:
     return shape[0]
 
 
-def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower convex hull chain of the samples behind an error-polynomial
-    array: sample indices by increasing abscissa, the lowest point per
-    abscissa, which of them are strict vertices, and every sample's abscissa
-    rank (the number of samples with a smaller abscissa).
+def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the lower convex hull of the samples behind an
+    error-polynomial array, sample indices by increasing abscissa, and every
+    sample's abscissa rank (the number of samples with a smaller abscissa).
 
     Each decision reads exact differences of the samples, never differences
     of differences: a float difference has the sign of the exact one, so
-    the order and the lowest point per abscissa are exact, and each turn
-    test takes both vectors from its first point's own row.  Only clearly
-    concave turns drop a point, so collinear and near-collinear points stay
-    on the chain; a strict vertex is an end or a clearly convex turn.  A
-    turn test that overflows is decided in exact rational arithmetic, since
-    a point kept for it could lie far off the hull and make its neighbours'
-    turns look strict.  A turn is clear when its two
-    cross-product terms differ by more than _TURN_TOL of their magnitudes
-    and the middle point is off the line through its neighbours by more
-    than _TURN_TOL of the largest ordinate difference: the kernel's rounding
-    error grows with the coefficients, so with a far outlier every point
-    within that band of the hull can attain a pair minimum.
+    the order and the lowest point per abscissa are exact.  Each turn test
+    takes both vectors from its first point's own row and decides the sign
+    of their cross product exactly.  The two float products are each within
+    2^-53 of their size of the exact ones (2^-1075 below the normal range),
+    and their float difference has the sign of theirs, so a difference
+    beyond 2^-50 of the products' sizes plus 2^-1000 has the exact sign;
+    any other turn, an overflowing one included, is decided in rational
+    arithmetic.  Only strictly convex turns stay, so no collinear point and
+    no point above the hull is a vertex, however far off the other samples
+    lie.
     """
     x_rank = (polys[..., 0] < 0).sum(axis=1)
     y_rank = (polys[..., 1] > 0).sum(axis=1)
-    band = _TURN_TOL * np.abs(polys[..., 1]).max()
     entry = polys.item
 
-    def turn(a: int, b: int, c: int) -> int:
-        # u - v is b's height above the line from a to c, times x_c - x_a
+    def convex(a: int, b: int, c: int) -> bool:
+        # b lies strictly below the line from a to c
         bx, by, cx, cy = entry(a, b, 0), entry(a, b, 1), entry(a, c, 0), entry(a, c, 1)
-        u, v = bx * cy, by * cx
-        terms = abs(u - v), _TURN_TOL * (abs(u) + abs(v)), band * cx
-        if not all(map(math.isfinite, terms)):
-            # An overflow decides nothing; exact rationals do.
-            bx, by, cx, cy, tol, width = map(Fraction, (bx, by, cx, cy, _TURN_TOL, band))
-            u, v = bx * cy, by * cx
-            terms = abs(u - v), tol * (abs(u) + abs(v)), width * cx
-        diff, scale, height = terms
-        if not diff > max(scale, height):
-            return 0
-        return 1 if u < v else -1
+        u, v = by * cx, bx * cy
+        if abs(u - v) > 2.0**-50 * (abs(u) + abs(v)) + 2.0**-1000:  # False on inf or nan
+            return u > v
+        return Fraction(by) * Fraction(cx) > Fraction(bx) * Fraction(cy)
 
     order = np.lexsort((y_rank, x_rank))
     lowest = np.ones(len(order), dtype=bool)
     lowest[1:] = x_rank[order[1:]] != x_rank[order[:-1]]
     chain: list[int] = []
     for j in order[lowest].tolist():
-        while len(chain) >= 2 and turn(chain[-2], chain[-1], j) < 0:
+        while len(chain) >= 2 and not convex(chain[-2], chain[-1], j):
             chain.pop()
         chain.append(j)
-    inner = [turn(*abc) > 0 for abc in zip(chain, chain[1:], chain[2:])]
-    strict = np.array([True, *inner, True][: len(chain)])
-    return np.array(chain), strict, x_rank
-
-
-def _kernel_widths(
-    width: np.ndarray, neg_count: np.ndarray, pos_count: np.ndarray, top: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel widths of the negative and positive sides of candidate
-    windows.  A window at most 8 wide goes whole to both sides, which keeps
-    ordinary data to a few kernel shapes.  A wider one gives each side only
-    its own count (at least 1), rounded up to the next 2^k or 3 * 2^k, so
-    that a long collinear hull run costs about a quarter of its square in
-    few shapes."""
-    if width.max() <= 8:
-        return width, width
-    b = max(top, 8).bit_length()
-    sizes = np.array(sorted({*range(1, 9), *(2**k for k in range(3, b + 1)),
-                             *(3 * 2**k for k in range(2, b))}))
-    narrow = width <= 8
-
-    def side(count: np.ndarray) -> np.ndarray:
-        return np.where(narrow, width, sizes[np.searchsorted(sizes, np.maximum(count, 1))])
-
-    return side(neg_count), side(pos_count)
+    return np.array(chain), x_rank
 
 
 def pair_minima(polys: np.ndarray) -> np.ndarray:
@@ -271,97 +222,49 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     E[i, j] = (x_j - x_i, y_i - y_j).
 
     The minimum of a tropical sum is the mu formula's max over monomial pairs
-    of the sum, so with C[i, k] the max over (negative exponent of polys[i],
-    positive exponent of polys[k]) and z_i polys[i]'s largest zero-exponent
-    coefficient,
+    of the sum.  Row i is E_i(p) = h(p) - (p x_i - y_i) with
+    h(p) = max_j (p x_j - y_j), and only the vertices of the data's lower
+    convex hull (``_lower_chain``) attain h, so one mu term per entry
+    attains it.  With T(n, p) the mu term of a negative monomial n and a
+    positive one p, and z_i row i's largest zero-exponent coefficient:
 
-        D[i, k] = max(self_i, self_k, C[i, k], C[k, i]),  self_i = max(C[i, i], z_i),
+    * self_i, the minimum of E_i, is z_i when x_i is a vertex's abscissa,
+      and else max(z_i, T(row i at v', row i at v)) for the hull edge from
+      v' to v over x_i;
+    * for x_i < x_k the pair's minimum is self_i, self_k, or
+      E_i(p*) = E_k(p*) at the chord slope p* = (y_k - y_i)/(x_k - x_i),
+      which is C[i, k] = T(row k at v, row i at v) for the vertex v whose
+      edges' slopes enclose p*, taken when x_i < x_v < x_k beyond
+      ZERO_EXPONENT_TOL, as the kernel splits signs, and -inf otherwise;
+    * D = max(C, C^T, outer max of self), so D[i, i] = self_i, and pairs of
+      equal abscissae take the larger self.
 
-    and D[i, i] = self_i.  Row i is E_i(p) = h(p) - (p x_i - y_i) with
-    h(p) = max_j (p x_j - y_j), and only the points of the data's lower
-    convex hull attain h.  So the mu terms that attain D come from few hull
-    points: for x_i < x_k and p* = (y_k - y_i)/(x_k - x_i), D[i, k] is
-    self_i, self_k, or E_i(p*) = E_k(p*), reached by the hull points on the
-    supporting line of slope p*.  C[i, k] is therefore taken over the hull
-    chain (``_lower_chain``) from the strict vertex before the chain slope
-    that p* falls at to the one after it; C[i, i], and C[i, k] for equal
-    abscissae, over the chain from the strict vertex before x_i to the one
-    after.  Of that window, row i's negative side is the part left of x_i
-    and row k's positive side the part right of x_k; when either is empty,
-    C[i, k] = -inf with no kernel call (about half the ordered pairs on
-    smooth data).  z_i takes the whole row.
-
-    Every candidate term is one the full mu formula computes, from the same
-    entries of ``polys`` by the same kernel, so D is never above the full
-    formula and equals it whenever the attaining pair is a candidate.  The
-    kernel runs on pairs grouped by the two sides' candidate counts
-    (``_kernel_widths``), in blocks whose temporaries stay near 1 MiB, with
-    -inf coefficients (and an exponent of the side's sign) where a candidate
-    is not on its side.  The cost is O(M^2) kernel terms for data without
-    long collinear runs on the hull; on a collinear hull, or beside a far
-    outlier, every window is the whole chain, about M^4 / 4 terms before
-    padding.
+    Every value is a term of the full mu formula, from the same entries of
+    ``polys`` by the same float operations as the kernel
+    ``puiseux.pairwise_minimum_value``, so D is never above the full
+    formula and equals it unless several vertices tie on a supporting line
+    and rounding favours another.  The cost is O(M^2) array work plus the
+    hull's O(M) turn tests, on any data.
     """
     m = _check_polys(polys)
     exponents, coefficients = polys[..., 0], polys[..., 1]
-    neg = exponents < -ZERO_EXPONENT_TOL
-    pos = exponents > ZERO_EXPONENT_TOL
-    zero = np.where(neg | pos, -np.inf, coefficients).max(axis=1)
+    zero = np.where(np.abs(exponents) > ZERO_EXPONENT_TOL, -np.inf, coefficients).max(axis=1)
 
-    chain, strict, x_rank = _lower_chain(polys)
-    h = len(chain)
-    steps = np.arange(h)
-    prev_strict = np.maximum.accumulate(np.where(strict, steps, 0))
-    next_strict = np.minimum.accumulate(np.where(strict, steps, h - 1)[::-1])[::-1]
+    def term(neg: tuple, pos: tuple) -> np.ndarray:
+        # T(polys[neg], polys[pos]), -inf where either monomial is off its sign
+        p_n, t_n, p_p, t_p = exponents[neg], coefficients[neg], exponents[pos], coefficients[pos]
+        span = p_n - p_p
+        value = t_n * (-p_p / span) + t_p * (p_n / span)
+        return np.where((p_n < -ZERO_EXPONENT_TOL) & (p_p > ZERO_EXPONENT_TOL), value, -np.inf)
 
-    def window(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return prev_strict[np.clip(before, 0, h - 1)], next_strict[np.clip(after, 0, h - 1)]
-
-    # Chain positions of each abscissa: the first at or right of it, the first right of it.
-    at = np.searchsorted(x_rank[chain], x_rank)
-    past = np.searchsorted(x_rank[chain], x_rank, side="right")
-    self_lo, self_hi = window(at - 1, at)
+    chain, x_rank = _lower_chain(polys)
+    rows = np.arange(m)
+    at = np.searchsorted(x_rank[chain], x_rank)  # first vertex at or right of x_i
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        own = np.maximum(zero, term((rows, chain[np.maximum(at - 1, 0)]), (rows, chain[at])))
         slopes = -coefficients[chain[:-1], chain[1:]] / exponents[chain[:-1], chain[1:]]
-        cut = np.searchsorted(slopes, -coefficients / exponents)
-    lo, hi = window(cut - 1, cut + 1)
-    same = ~(neg | pos)
-    lo = np.where(same, np.minimum.outer(self_lo, self_lo), lo)
-    hi = np.where(same, np.maximum.outer(self_hi, self_hi), hi)
-    # Row i's negative side lies left of x_i, row k's positive side right of x_k.
-    neg_hi = np.minimum(hi, at[:, None] - 1).ravel()
-    pos_lo = np.maximum(lo, past[None, :]).ravel()
-    lo, hi = lo.ravel(), hi.ravel()
-    neg_w, pos_w = _kernel_widths(hi - lo + 1, neg_hi - lo + 1, hi - pos_lo + 1, h)
-
-    # The two sides over the chain's columns, padded where off their sign.
-    neg_c, pos_c = neg[:, chain], pos[:, chain]
-    exp_c, coef_c = exponents[:, chain], coefficients[:, chain]
-    neg_p, neg_t = np.where(neg_c, exp_c, -1.0), np.where(neg_c, coef_c, -np.inf)
-    pos_p, pos_t = np.where(pos_c, exp_c, 1.0), np.where(pos_c, coef_c, -np.inf)
-
-    # A pair with no candidate on one side has no candidate term: C = -inf.
-    live = np.flatnonzero((neg_hi >= lo) & (pos_lo <= hi))
-    cross = np.full(m * m, -np.inf)
-    no_zero = np.empty(0)
-    shape = neg_w * (int(pos_w.max()) + 1) + pos_w
-    order = live[np.argsort(shape[live], kind="stable")]
-    groups = np.split(order, np.flatnonzero(np.diff(shape[order])) + 1) if order.size else []
-    for group in groups:
-        wn, wp = int(neg_w[group[0]]), int(pos_w[group[0]])
-        block = max(1, _KERNEL_BLOCK // (wn * wp))
-        for start in range(0, len(group), block):
-            pairs = group[start : start + block]
-            i, k = np.divmod(pairs, m)
-            i, k = i[:, None], k[:, None]
-            # Columns beyond a side's window are still its terms, or padding.
-            ncols = np.maximum(neg_hi[pairs, None] - wn + 1 + np.arange(wn), 0)
-            pcols = np.minimum(pos_lo[pairs, None] + np.arange(wp), h - 1)
-            cross[pairs] = pairwise_minimum_value(
-                neg_p[i, ncols], neg_t[i, ncols], pos_p[k, pcols], pos_t[k, pcols], no_zero
-            )
-    cross = cross.reshape(m, m)
-    own = np.maximum(cross.diagonal(), zero)
+        support = chain[np.searchsorted(slopes, -coefficients / exponents)]
+        cross = term((rows[None, :], support), (rows[:, None], support))
     return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
 
 
@@ -391,9 +294,8 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
     and re-pushes row a and every row whose partner was a or b: keys only
     grow, so no other row's entry changes.
 
-    The cost per call is D, O(M^2) kernel terms on data without long
-    collinear runs on its lower hull, plus O(M) array work and a few heap
-    operations per merge.  ``score_blocks`` then reads the n final blocks'
+    The cost per call is D, O(M^2) array work, plus O(M) array work and a
+    few heap operations per merge.  ``score_blocks`` then reads the n final blocks'
     minima from the same D and their minimizing intervals from their rows
     of ``polys``; each block's exponent is its interval's representative
     point.

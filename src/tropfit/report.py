@@ -141,28 +141,36 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitReport":
-        """Parse a report object; a value of the wrong JSON type, an unknown
-        mode or malformed monomial lists raise ValueError."""
+        """Parse a report object; a missing field, a value of the wrong JSON
+        type, an unknown mode, malformed monomial lists or a trace entry
+        that is not a [step, error] pair raise ValueError."""
         _expect(data, dict, "a report")
-        if data["mode"] not in (MODE_MAXPLUS, MODE_MAXTIMES):
-            raise ValueError(f"unknown mode {data['mode']!r}")
+        mode = _field(data, "mode")
+        if mode not in (MODE_MAXPLUS, MODE_MAXTIMES):
+            raise ValueError(f"unknown mode {mode!r}")
         num_p, num_t = _monomial_lists(data, "numerator")
         den_p = den_t = None
         if data.get("denominator"):
             den_p, den_t = _monomial_lists(data, "denominator")
-        trace = [_numbers(step, "a trace entry") for step in _expect(data["trace"], list, "trace")]
+        trace = []
+        for entry in _expect(_field(data, "trace"), list, "trace"):
+            if len(_numbers(entry, "a trace entry")) != 2:
+                raise ValueError("a trace entry must be a [step, error] pair")
+            trace.append((_expect(entry[0], int, "a trace step"), float(entry[1])))
         return cls(
-            mode=data["mode"],
-            n=_expect(data["n"], int, "n"),
+            mode=mode,
+            n=_expect(_field(data, "n"), int, "n"),
             l=_expect(data["l"], int, "l") if "l" in data else None,
             numerator_exponents=num_p,
             numerator_coefficients=num_t,
             denominator_exponents=den_p,
             denominator_coefficients=den_t,
-            delta_star=float(_expect(data["delta_star"], _NUMBER, "delta_star")),
-            chebyshev_error=float(_expect(data["chebyshev_error"], _NUMBER, "chebyshev_error")),
-            trace=tuple((_expect(k, int, "a trace step"), float(d)) for k, d in trace),
-            stop_reason=data["stop_reason"],
+            delta_star=float(_expect(_field(data, "delta_star"), _NUMBER, "delta_star")),
+            chebyshev_error=float(
+                _expect(_field(data, "chebyshev_error"), _NUMBER, "chebyshev_error")
+            ),
+            trace=tuple(trace),
+            stop_reason=_expect(_field(data, "stop_reason"), str, "stop_reason"),
         )
 
     @classmethod
@@ -171,7 +179,16 @@ class FitReport:
 
 
 _NUMBER = (int, float)
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", _NUMBER: "a number"}
+_JSON_KINDS = {
+    dict: "an object", list: "a list", int: "an integer", _NUMBER: "a number", str: "a string"
+}
+
+
+def _field(data: dict, key: str, where: str = "the report"):
+    """``data[key]``, else ValueError naming the missing field."""
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r} field")
+    return data[key]
 
 
 def _expect(value, kind, what: str):
@@ -189,9 +206,9 @@ def _numbers(value, what: str) -> tuple:
 
 
 def _monomial_lists(data: dict, part: str) -> tuple[tuple, tuple]:
-    lists = _expect(data[part], dict, part)
-    exponents = _numbers(lists["exponents"], f"{part} exponents")
-    coefficients = _numbers(lists["coefficients"], f"{part} coefficients")
+    lists = _expect(_field(data, part), dict, part)
+    exponents = _numbers(_field(lists, "exponents", part), f"{part} exponents")
+    coefficients = _numbers(_field(lists, "coefficients", part), f"{part} coefficients")
     if not exponents or len(exponents) != len(coefficients):
         raise ValueError(
             f"{part}: exponents and coefficients must be nonempty and of equal length"

@@ -12,16 +12,20 @@ concatenation (``poly_sum``) and subset minima by ``min_poly`` of the sum
 written from its definition: it shares the mu kernel, the quantized scores
 and the tie-break with ``agglomerate`` but keeps a heap of every live pair
 and rebuilds and rescores merged polynomials after every merge, so the
-complete-linkage updates on ranked pair minima must agree with it bit for
-bit.  ``pair_minima_kernel`` builds the pair minima with every monomial
-pair in the mu kernel, the reference for the hull candidates of
-``clustering.pair_minima``.  ``canonical_monomials`` is the dict merge that
+complete-linkage updates on ranked pair minima must make its partitions.
+``pair_minima_kernel`` builds the pair minima with every monomial pair in
+the mu kernel: the closed form of ``clustering.pair_minima`` takes one of
+its terms per entry, so it is never above it.  ``pair_minima_exact`` is the
+same formula in exact rationals from the raw coordinates, and
+``lower_hull_exact`` the exact hull whose coefficients scale the rounding
+bound both are held to.  ``canonical_monomials`` is the dict merge that
 ``PuiseuxPoly`` replaced with array operations.
 """
 
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,6 +180,49 @@ def pair_minima_kernel(polys):
         )
     own = np.maximum(cross.diagonal(), zero)
     return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
+
+
+def pair_minima_exact(samples):
+    """Reference for ``clustering.pair_minima`` in exact rationals: D[i][k]
+    as a ``Fraction``, the mu formula over every monomial pair of E_i + E_k
+    built from the raw coordinates.  Exponents within ZERO_EXPONENT_TOL of
+    0 are the zero side, as in the library.  O(M^4) rational operations, so
+    M <= 8."""
+    m = len(samples)
+    if m > 8:
+        raise ValueError(f"exact pair minima are for M <= 8, got {m}")
+    points = [(Fraction(x), Fraction(y)) for x, y in samples.points]
+    rows = [[(xj - xi, yi - yj) for xj, yj in points] for xi, yi in points]
+    tol = Fraction(ZERO_EXPONENT_TOL)
+    d = [[None] * m for _ in range(m)]
+    for i, k in itertools.combinations_with_replacement(range(m), 2):
+        monomials = rows[i] + rows[k]
+        neg = [(p, t) for p, t in monomials if p < -tol]
+        pos = [(p, t) for p, t in monomials if p > tol]
+        terms = [t for p, t in monomials if abs(p) <= tol]
+        terms += [tn * (-pp / (pn - pp)) + tp * (pn / (pn - pp))
+                  for pn, tn in neg for pp, tp in pos]
+        d[i][k] = d[k][i] = max(terms)
+    return d
+
+
+def lower_hull_exact(samples):
+    """Indices of the vertices of the samples' lower convex hull, by
+    increasing abscissa: a monotone chain in exact rationals that keeps
+    only strictly convex turns."""
+    points = [(Fraction(x), Fraction(y)) for x, y in samples.points]
+    chain = []
+    for j in sorted(range(len(points)), key=points.__getitem__):
+        xj, yj = points[j]
+        if chain and points[chain[-1]][0] == xj:
+            continue  # the lowest point of an abscissa comes first
+        while len(chain) >= 2:
+            (xa, ya), (xb, yb) = points[chain[-2]], points[chain[-1]]
+            if (xb - xa) * (yj - ya) > (yb - ya) * (xj - xa):
+                break
+            chain.pop()
+        chain.append(j)
+    return chain
 
 
 class _Cluster:

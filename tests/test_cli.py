@@ -474,6 +474,39 @@ def test_eval_and_sample_reject_malformed_monomial_lists(capsys, tmp_path):
             assert code == 2 and message in err
 
 
+def test_eval_and_sample_reject_missing_fields_and_malformed_entries(capsys, tmp_path):
+    cases = []
+    for key in ("mode", "n", "numerator", "delta_star", "chebyshev_error", "trace",
+                "stop_reason"):
+        data = reference_n2l2_report().to_dict()
+        del data[key]
+        cases.append((data, f"the report has no '{key}' field"))
+    data = reference_n2l2_report().to_dict()
+    del data["denominator"]["coefficients"]
+    cases.append((data, "denominator has no 'coefficients' field"))
+    data = reference_n2l2_report().to_dict()
+    data["stop_reason"] = 5
+    cases.append((data, "stop_reason must be a string"))
+    for entry in ([1, 2, 3], [1], []):
+        data = reference_n2l2_report().to_dict()
+        data["trace"] = [entry]
+        cases.append((data, "a trace entry must be a [step, error] pair"))
+    for data, message in cases:
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        for argv in _report_commands(path):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [["poly", "--n", "3"], ["rational", "--n", "3", "--l", "2"]])
+def test_fit_reports_round_trip_byte_for_byte(capsys, fixture_csv, argv):
+    kind, *counts = argv
+    code, out, _ = run(capsys, ["fit", kind, str(fixture_csv), *counts])
+    assert code == 0
+    assert FitReport.from_json(out).to_json() + "\n" == out
+
+
 def test_eval_and_sample_reject_unknown_mode(capsys, tmp_path):
     data = reference_n2l2_report().to_dict()
     data["mode"] = "maxtimez"
