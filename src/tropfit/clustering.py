@@ -42,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .linalg import check_count
-from .puiseux import ZERO_EXPONENT_TOL, PolyMinimum, minimum_at
+from .puiseux import PolyMinimum, minimum_at, mu_term, sign_masks
 # perfbench/tracing.py finds min_poly and pairwise_minimum_value here by
 # name; its metrics need them bound.
 from .puiseux import min_poly, pairwise_minimum_value  # noqa: F401
@@ -225,8 +225,8 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     of the sum.  Row i is E_i(p) = h(p) - (p x_i - y_i) with
     h(p) = max_j (p x_j - y_j), and only the vertices of the data's lower
     convex hull (``_lower_chain``) attain h, so one mu term per entry
-    attains it.  With T(n, p) the mu term of a negative monomial n and a
-    positive one p, and z_i row i's largest zero-exponent coefficient:
+    attains it.  With T(n, p) = ``puiseux.mu_term`` of a negative monomial n
+    and a positive one p, and z_i row i's largest zero-exponent coefficient:
 
     * self_i, the minimum of E_i, is z_i when x_i is a vertex's abscissa,
       and else max(z_i, T(row i at v', row i at v)) for the hull edge from
@@ -234,28 +234,28 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     * for x_i < x_k the pair's minimum is self_i, self_k, or
       E_i(p*) = E_k(p*) at the chord slope p* = (y_k - y_i)/(x_k - x_i),
       which is C[i, k] = T(row k at v, row i at v) for the vertex v whose
-      edges' slopes enclose p*, taken when x_i < x_v < x_k beyond
-      ZERO_EXPONENT_TOL, as the kernel splits signs, and -inf otherwise;
+      edges' slopes enclose p*, taken when ``puiseux.sign_masks`` finds
+      x_v - x_k negative and x_v - x_i positive, and -inf otherwise;
     * D = max(C, C^T, outer max of self), so D[i, i] = self_i, and pairs of
       equal abscissae take the larger self.
 
     Every value is a term of the full mu formula, from the same entries of
-    ``polys`` by the same float operations as the kernel
-    ``puiseux.pairwise_minimum_value``, so D is never above the full
-    formula and equals it unless several vertices tie on a supporting line
-    and rounding favours another.  The cost is O(M^2) array work plus the
-    hull's O(M) turn tests, on any data.
+    ``polys`` and the same ``mu_term`` as ``puiseux.pairwise_minimum_value``
+    (``min_poly``), so D is never above the full formula and equals it
+    unless several vertices tie on a supporting line and rounding favours
+    another.  The cost is O(M^2) array work plus the hull's O(M) turn tests,
+    on any data.
     """
     m = _check_polys(polys)
     exponents, coefficients = polys[..., 0], polys[..., 1]
-    zero = np.where(np.abs(exponents) > ZERO_EXPONENT_TOL, -np.inf, coefficients).max(axis=1)
+    zero = np.where(np.logical_or(*sign_masks(exponents)), -np.inf, coefficients).max(axis=1)
 
     def term(neg: tuple, pos: tuple) -> np.ndarray:
-        # T(polys[neg], polys[pos]), -inf where either monomial is off its sign
-        p_n, t_n, p_p, t_p = exponents[neg], coefficients[neg], exponents[pos], coefficients[pos]
-        span = p_n - p_p
-        value = t_n * (-p_p / span) + t_p * (p_n / span)
-        return np.where((p_n < -ZERO_EXPONENT_TOL) & (p_p > ZERO_EXPONENT_TOL), value, -np.inf)
+        # T(polys[neg], polys[pos]), -inf where either monomial is off its
+        # sign; testing the gathered exponents beats gathering whole masks
+        p_n, p_p = exponents[neg], exponents[pos]
+        value = mu_term(p_n, coefficients[neg], p_p, coefficients[pos])
+        return np.where(sign_masks(p_n)[0] & sign_masks(p_p)[1], value, -np.inf)
 
     chain, x_rank = _lower_chain(polys)
     rows = np.arange(m)

@@ -47,13 +47,12 @@ STOP_CYCLE = "cycle"
 STOP_DRIFT = "drift-cycle"
 STOP_CAP = "iteration-cap"
 
-#: Quantization step for the repeated-parameters test in ``alternate``, and
-#: the relative tolerance of its translated-cycle test.  Exact float
-#: equality would be defeated by accumulated rounding drift.
-CYCLE_QUANTUM = 1e-9
-
-#: Tolerance below which a squared error counts as exactly ONE.
-EXACT_TOL = 1e-9
+#: The one tolerance of the solvers and the alternation: squared errors and
+#: values agree to AGREE_TOL * max(1, their size) (``_agree``, the
+#: translated-cycle test), a squared error within AGREE_TOL of ONE is exact,
+#: and the repeated-parameters test in ``alternate`` quantizes to AGREE_TOL.
+#: Exact float equality would be defeated by accumulated rounding drift.
+AGREE_TOL = 1e-9
 
 
 def matvec(a, x) -> np.ndarray:
@@ -136,9 +135,9 @@ def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _agree(a: float, b: float) -> bool:
-    """Whether two squared errors agree to CYCLE_QUANTUM * max(1, |a|), a
+    """Whether two squared errors agree to AGREE_TOL * max(1, |a|), a
     tolerance that an offset of the data does not move."""
-    return abs(a - b) <= CYCLE_QUANTUM * max(1.0, abs(a))
+    return abs(a - b) <= AGREE_TOL * max(1.0, abs(a))
 
 
 def _translation(history):
@@ -149,13 +148,13 @@ def _translation(history):
     first.  With v_k the values of both sides after half-step k (those of
     half-steps k-1 and k) and s = v_k - v_{k-2}, that is: s equals
     v_{k-2} - v_{k-4} and is not zero (a zero step is an exact repetition),
-    both to tau = CYCLE_QUANTUM * max(1, |v_k|), and the errors at k, k-2
+    both to tau = AGREE_TOL * max(1, |v_k|), and the errors at k, k-2
     and k-4 agree (``_agree``).  Non-finite values never match.
     """
     (t5, _), (t4, d4), (t3, _), (t2, d2), (t1, _), (t0, d0) = history
     v4, v2, v0 = np.concatenate((t5, t4)), np.concatenate((t3, t2)), np.concatenate((t1, t0))
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = CYCLE_QUANTUM * max(1.0, float(np.max(np.abs(v0))))
+        tau = AGREE_TOL * max(1.0, float(np.max(np.abs(v0))))
         step = v0 - v2
         translated = np.max(np.abs(step - (v2 - v4))) <= tau and np.max(np.abs(step)) > tau
     return step if translated and _agree(d0, d2) and _agree(d0, d4) else None
@@ -173,7 +172,7 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
 
     Jumps the latest values ``periods`` steps ahead, runs one period of
     half-steps from there, and checks that it lands one more step on, to
-    tau = CYCLE_QUANTUM * max(1, |values|), with the errors of the latest
+    tau = AGREE_TOL * max(1, |values|), with the errors of the latest
     period.  A translation that ends before then, say when a drifting value
     falls below the others, fails this check at the far end.  A jump
     beyond the float range confirms nothing.
@@ -189,7 +188,7 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         landed = np.concatenate((u1, u0))
         missed = np.max(np.abs(landed - (np.concatenate((t1, t0)) + (periods + 1) * step)))
-        tau = CYCLE_QUANTUM * max(1.0, float(np.max(np.abs(landed))))
+        tau = AGREE_TOL * max(1.0, float(np.max(np.abs(landed))))
     return bool(missed <= tau) and _agree(d1, e1) and _agree(d0, e0)
 
 
@@ -209,7 +208,7 @@ def alternate(
 
     - STOP_CONVERGED once an error is at most ``tol``;
     - STOP_CYCLE when the parameters of both sides, flattened and quantized
-      to CYCLE_QUANTUM, repeat at the same parity.  A half-step whose
+      to AGREE_TOL, repeat at the same parity.  A half-step whose
       quantized parameters leave the float range takes no part in this test;
     - STOP_DRIFT from k = 5 on, when the values of both sides have moved by
       the same nonzero step in each of the last two periods at repeating
@@ -249,7 +248,7 @@ def alternate(
                 break
             probe_from = 2 * k
         with np.errstate(over="ignore"):
-            quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / CYCLE_QUANTUM)
+            quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / AGREE_TOL)
         if not np.isfinite(quantized).all():
             continue  # a key beyond the float range would match unequal parameters
         key = (*quantized.tolist(), k % 2)
@@ -270,7 +269,7 @@ def best_approx_solve(a, b) -> ApproxSolution:
     """
     a = _matrix(a, "A")
     delta, xhat = residuate(a, _vector(b, a.shape[0], "b"))
-    return ApproxSolution(delta, delta / 2 + xhat, exact=abs(delta) <= EXACT_TOL)
+    return ApproxSolution(delta, delta / 2 + xhat, exact=_agree(ONE, delta))
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,7 @@ def alternating_solve(a, b, x0=None, max_iter: int = 10_000) -> TwoSidedSolution
     Alternates one-sided solves through ``alternate``: fix x and solve
     B y = A x for y, then fix y and solve A x = B y for x.  Returns the best
     half-step's vectors and squared error.  It stops as converged when the
-    squared error is within EXACT_TOL of ONE (an exact solution), as a cycle
+    squared error is within AGREE_TOL of ONE (an exact solution), as a cycle
     when x and y repeat, which the error sequence cannot escape, as a drift
     cycle when some entries of A x and B y move by the same step each round
     at repeating errors and a probe finds them still doing so at the cap,
@@ -311,5 +310,5 @@ def alternating_solve(a, b, x0=None, max_iter: int = 10_000) -> TwoSidedSolution
     check_count(max_iter, "max_iter")
 
     solve_y, solve_x = partial(_solve_side, b), partial(_solve_side, a)
-    delta, y, x, _, reason = alternate(solve_y, solve_x, x, matvec(a, x), EXACT_TOL, 2 * max_iter)
+    delta, y, x, _, reason = alternate(solve_y, solve_x, x, matvec(a, x), AGREE_TOL, 2 * max_iter)
     return TwoSidedSolution(delta, x, y, reason)

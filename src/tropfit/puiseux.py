@@ -20,6 +20,10 @@ together with the interval of minimizers
 This costs O(N^2).  When every exponent is strictly one-signed the infimum is
 -inf and is not attained; that case is reported, not raised.
 
+``mu_term`` is one pair's term of mu and ``sign_masks`` the rule that puts an
+exponent on the negative, zero or positive side.  ``min_poly`` and the
+exponent search's pair minima (``clustering.pair_minima``) both use them.
+
 ``minimum_at`` holds the interval formula.  ``min_poly`` feeds it the mu
 above; the exponent search feeds it a mu it already knows (the largest pair
 minimum over a block) with the block's monomials as they are, unsorted and
@@ -37,9 +41,10 @@ from typing import Iterable
 
 import numpy as np
 
-#: Exponents within this distance of 0 are classified as zero exponents.
-#: The exponent polynomials built by the clustering stage always carry an
-#: exact 0 exponent; float dust must not disqualify it.
+#: Exponents within this distance of 0 are classified as zero exponents
+#: (``sign_masks``, its one reader).  The exponent polynomials built by the
+#: clustering stage always carry an exact 0 exponent; float dust must not
+#: disqualify it.
 ZERO_EXPONENT_TOL = 1e-12
 
 
@@ -134,19 +139,17 @@ class PolyMinimum:
         return 0.0
 
 
-def _split_by_sign(
-    exponents: np.ndarray, coefficients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    neg = exponents < -ZERO_EXPONENT_TOL
-    pos = exponents > ZERO_EXPONENT_TOL
-    zer = ~(neg | pos)
-    return (
-        exponents[neg],
-        coefficients[neg],
-        exponents[pos],
-        coefficients[pos],
-        coefficients[zer],
-    )
+def sign_masks(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(negative, positive): which exponents lie below -ZERO_EXPONENT_TOL and
+    which above it.  The rest are zero exponents."""
+    return exponents < -ZERO_EXPONENT_TOL, exponents > ZERO_EXPONENT_TOL
+
+
+def mu_term(neg_p, neg_t, pos_p, pos_t):
+    """The mu formula's term of a negative monomial (neg_p, neg_t) and a
+    positive one (pos_p, pos_t), elementwise over broadcast arrays."""
+    span = neg_p - pos_p
+    return neg_t * (-pos_p / span) + pos_t * (neg_p / span)
 
 
 def pairwise_minimum_value(
@@ -155,30 +158,12 @@ def pairwise_minimum_value(
     pos_p: np.ndarray,
     pos_t: np.ndarray,
     zero_t: np.ndarray,
-) -> float | np.ndarray:
-    """The mu formula on sign-split monomial arrays; -inf if all sets that
-    contribute are empty (the unattained case).
-
-    Monomials lie on the last axis.  Leading axes are a batch: they broadcast
-    against each other and the result is an array over them, one value of
-    the formula per batch entry (a float when there are none).  A monomial
-    with coefficient -inf and an exponent of its side's sign adds only -inf
-    values, so it pads ragged batches.
-    """
-    batch = np.broadcast_shapes(
-        neg_p.shape[:-1], neg_t.shape[:-1], pos_p.shape[:-1], pos_t.shape[:-1], zero_t.shape[:-1]
-    )
-    mu = np.full(batch, -np.inf)
-    if neg_p.shape[-1] and pos_p.shape[-1]:
-        neg_p = neg_p[..., :, None]
-        pos_p = pos_p[..., None, :]
-        span = neg_p - pos_p
-        vals = neg_t[..., :, None] * (-pos_p / span) + pos_t[..., None, :] * (neg_p / span)
-        mu = vals.max(axis=(-2, -1))
-    if zero_t.shape[-1]:
-        mz = zero_t.max(axis=-1)
-        mu = np.where(mz > mu, mz, mu)
-    return float(mu) if np.ndim(mu) == 0 else mu
+) -> float:
+    """The mu formula on sign-split monomial vectors: the largest ``mu_term``
+    over every negative-positive pair and every zero-exponent coefficient;
+    -inf if all of them are absent (the unattained case)."""
+    pairs = mu_term(neg_p[:, None], neg_t[:, None], pos_p, pos_t)
+    return max(float(pairs.max(initial=-np.inf)), float(zero_t.max(initial=-np.inf)))
 
 
 def minimum_at(mu: float, exponents: np.ndarray, coefficients: np.ndarray) -> PolyMinimum:
@@ -192,8 +177,7 @@ def minimum_at(mu: float, exponents: np.ndarray, coefficients: np.ndarray) -> Po
     the ends equal those of the canonical polynomial.
     """
     mu += 0.0  # -0.0 + 0.0 is 0.0
-    neg = exponents < -ZERO_EXPONENT_TOL
-    pos = exponents > ZERO_EXPONENT_TOL
+    neg, pos = sign_masks(exponents)
     lower = float(((mu - coefficients[neg]) / exponents[neg]).max()) if neg.any() else None
     upper = float(((mu - coefficients[pos]) / exponents[pos]).min()) if pos.any() else None
     return PolyMinimum(mu, lower, upper)
@@ -203,7 +187,8 @@ def min_poly(poly: PuiseuxPoly) -> PolyMinimum:
     """Minimize a polynomial over the real line by the closed form above."""
     ps = np.array(poly.exponents, dtype=float)
     ts = np.array(poly.coefficients, dtype=float)
-    mu = pairwise_minimum_value(*_split_by_sign(ps, ts))
+    neg, pos = sign_masks(ps)
+    mu = pairwise_minimum_value(ps[neg], ts[neg], ps[pos], ts[pos], ts[~(neg | pos)])
     if mu == -math.inf:
         return PolyMinimum(mu, None, None, attained=False)
     return minimum_at(mu, ps, ts)

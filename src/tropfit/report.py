@@ -4,7 +4,8 @@ Reports serialize to JSON and CSV with floats at full round-trip precision,
 so a report evaluates to exactly the fitted function; rounding for
 presentation is a display concern of consumers, not of the report.
 Datasets are two-column CSV files, comma separated with a decimal point, and
-an optional single header line detected by a non-numeric first row.
+an optional single header line detected by a non-numeric first row; a
+leading UTF-8 byte-order mark is ignored.
 
 Fits in max-times mode are performed on log-transformed data; the report
 then carries exp-mapped coefficients and errors so every reported quantity
@@ -31,9 +32,10 @@ POLY_STOP = "completed"
 
 
 def load_samples(path: str | Path) -> SampleSet:
-    """Read a two-column numeric CSV, skipping one optional header line."""
+    """Read a two-column numeric CSV, skipping one optional header line and
+    a leading UTF-8 byte-order mark."""
     rows: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -114,43 +116,37 @@ class FitReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
-        """Flat key/value rendering for spreadsheets; JSON is the round-trip
-        format consumed by eval/sample."""
-        lines = [("field", "value")]
-        lines.append(("mode", self.mode))
-        lines.append(("n", str(self.n)))
-        if self.l is not None:
-            lines.append(("l", str(self.l)))
-        for j, (p, t) in enumerate(
-            zip(self.numerator_exponents, self.numerator_coefficients), start=1
-        ):
-            lines.append((f"numerator_exponent_{j}", repr(float(p))))
-            lines.append((f"numerator_coefficient_{j}", repr(float(t))))
-        if self.is_rational:
-            for j, (p, t) in enumerate(
-                zip(self.denominator_exponents, self.denominator_coefficients), start=1
-            ):
-                lines.append((f"denominator_exponent_{j}", repr(float(p))))
-                lines.append((f"denominator_coefficient_{j}", repr(float(t))))
-        lines.append(("delta_star", repr(float(self.delta_star))))
-        lines.append(("chebyshev_error", repr(float(self.chebyshev_error))))
-        for k, d in self.trace:
-            lines.append((f"delta_{k}", repr(float(d))))
-        lines.append(("stop_reason", self.stop_reason))
-        return "\n".join(f"{k},{v}" for k, v in lines) + "\n"
+        """Flat key/value rendering of ``to_dict`` for spreadsheets; JSON is
+        the round-trip format consumed by eval/sample."""
+        rows = [("field", "value")]
+        for key, value in self.to_dict().items():
+            if key in ("numerator", "denominator"):
+                pairs = zip(value["exponents"], value["coefficients"])
+                for j, (p, t) in enumerate(pairs, start=1):
+                    rows += [(f"{key}_exponent_{j}", p), (f"{key}_coefficient_{j}", t)]
+            elif key == "trace":
+                rows += [(f"delta_{k}", d) for k, d in value]
+            else:
+                rows.append((key, value))
+        return "".join(f"{key},{value}\n" for key, value in rows)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitReport":
         """Parse a report object; a missing field, a value of the wrong JSON
-        type, an unknown mode, malformed monomial lists or a trace entry
-        that is not a [step, error] pair raise ValueError."""
+        type, an unknown mode, malformed monomial lists, 'l' without
+        'denominator' or the reverse, or a trace entry that is not a
+        [step, error] pair raise ValueError."""
         _expect(data, dict, "a report")
         mode = _field(data, "mode")
         if mode not in (MODE_MAXPLUS, MODE_MAXTIMES):
             raise ValueError(f"unknown mode {mode!r}")
         num_p, num_t = _monomial_lists(data, "numerator")
+        if ("l" in data) != ("denominator" in data):
+            raise ValueError(
+                "a rational report has both 'l' and 'denominator', a polynomial one neither"
+            )
         den_p = den_t = None
-        if data.get("denominator"):
+        if "denominator" in data:
             den_p, den_t = _monomial_lists(data, "denominator")
         trace = []
         for entry in _expect(_field(data, "trace"), list, "trace"):

@@ -9,17 +9,20 @@ on ``PuiseuxPoly`` objects where the library works on one float array: one
 polynomial per sample (``sample_polynomials``), tropical sums by
 concatenation (``poly_sum``) and subset minima by ``min_poly`` of the sum
 (``merged_minimum``).  ``agglomerate_by_merging`` is the exponent search
-written from its definition: it shares the mu kernel, the quantized scores
-and the tie-break with ``agglomerate`` but keeps a heap of every live pair
-and rebuilds and rescores merged polynomials after every merge, so the
-complete-linkage updates on ranked pair minima must make its partitions.
-``pair_minima_kernel`` builds the pair minima with every monomial pair in
-the mu kernel: the closed form of ``clustering.pair_minima`` takes one of
-its terms per entry, so it is never above it.  ``pair_minima_exact`` is the
-same formula in exact rationals from the raw coordinates, and
+written from its definition: it shares the mu formula
+(``pairwise_minimum_value``), the quantized scores and the tie-break with
+``agglomerate`` but keeps a heap of every live pair and rebuilds and
+rescores merged polynomials after every merge, so the complete-linkage
+updates on ranked pair minima must make its partitions.
+``pair_minima_kernel`` builds the pair minima with a ``mu_term`` for every
+monomial pair: the closed form of ``clustering.pair_minima`` takes one of
+those terms per entry, so it is never above it.  These float references
+split signs with the library's ``sign_masks``.  ``pair_minima_exact`` is
+the same formula in exact rationals from the raw coordinates, and
 ``lower_hull_exact`` the exact hull whose coefficients scale the rounding
-bound both are held to.  ``canonical_monomials`` is the dict merge that
-``PuiseuxPoly`` replaced with array operations.
+bound that the closed form and the kernel are held to.
+``canonical_monomials`` is the dict merge that ``PuiseuxPoly`` replaced
+with array operations.
 """
 
 import heapq
@@ -31,7 +34,7 @@ import numpy as np
 
 from tropfit import PuiseuxPoly, SampleSet, min_poly
 from tropfit.clustering import SCORE_QUANTUM, ExponentResult, Partition, PartitionBlock
-from tropfit.puiseux import ZERO_EXPONENT_TOL, _split_by_sign, pairwise_minimum_value
+from tropfit.puiseux import ZERO_EXPONENT_TOL, mu_term, pairwise_minimum_value, sign_masks
 
 
 def grid_min(monomials, lo=-20.0, hi=20.0, step=1e-3):
@@ -161,23 +164,23 @@ def merged_minimum(subset, polys):
 
 def pair_minima_kernel(polys):
     """Reference for ``clustering.pair_minima``: the same formula
-    D[i, k] = max(self_i, self_k, C[i, k], C[k, i]) with every monomial
-    pair of rows i and k in the mu kernel, O(M^4) in all.  The negative
-    side of row i meets the positive sides of all rows in one kernel call,
-    padded with exponent 1 and coefficient -inf where a monomial is not
-    positive."""
+    D[i, k] = max(self_i, self_k, C[i, k], C[k, i]) with C[i, k] the largest
+    ``mu_term`` over every negative monomial of row i and positive monomial
+    of row k, O(M^4) in all.  Row i's monomials meet every row's in one
+    broadcast ``mu_term``, and the pairs that are not negative-positive are
+    masked to -inf."""
     m = len(polys)
     exponents, coefficients = polys[..., 0], polys[..., 1]
-    neg = exponents < -ZERO_EXPONENT_TOL
-    pos = exponents > ZERO_EXPONENT_TOL
-    zero = np.where(neg | pos, -np.inf, coefficients).max(axis=1)
-    pos_p = np.where(pos, exponents, 1.0)
-    pos_t = np.where(pos, coefficients, -np.inf)
+    negative, positive = sign_masks(exponents)
+    zero = np.where(negative | positive, -np.inf, coefficients).max(axis=1)
     cross = np.empty((m, m))
     for i in range(m):
-        cross[i] = pairwise_minimum_value(
-            exponents[i, neg[i]], coefficients[i, neg[i]], pos_p, pos_t, np.empty(0)
-        )
+        # axes (k, monomial of row i, monomial of row k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = mu_term(exponents[i, :, None], coefficients[i, :, None],
+                            exponents[:, None, :], coefficients[:, None, :])
+        paired = negative[i, :, None] & positive[:, None, :]
+        cross[i] = np.where(paired, terms, -np.inf).max(axis=(1, 2))
     own = np.maximum(cross.diagonal(), zero)
     return np.maximum(np.maximum(cross, cross.T), np.maximum.outer(own, own))
 
@@ -234,9 +237,10 @@ class _Cluster:
         self.indices = indices
         self.least = min(indices)
         self.poly = poly
-        self.neg_p, self.neg_t, self.pos_p, self.pos_t, self.zer_t = _split_by_sign(
-            np.array(poly.exponents), np.array(poly.coefficients)
-        )
+        p, t = np.array(poly.exponents), np.array(poly.coefficients)
+        neg, pos = sign_masks(p)
+        self.neg_p, self.neg_t, self.pos_p, self.pos_t = p[neg], t[neg], p[pos], t[pos]
+        self.zer_t = t[~(neg | pos)]
 
 
 def _pair_score(a, b):

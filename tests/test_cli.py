@@ -60,6 +60,20 @@ def test_load_samples_header_optional(tmp_path):
     assert load_samples(with_header).points == load_samples(without).points
 
 
+def test_fit_reads_csv_files_that_start_with_a_byte_order_mark(capsys, tmp_path):
+    """A UTF-8 byte-order mark, as spreadsheet programs write it, is not
+    part of the first cell: a headerless file keeps its first sample."""
+    rows = "0.0,1.0\n0.5,0.2\n1.0,0.7\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(rows)
+    _, expected, _ = run(capsys, ["fit", "poly", str(plain), "--n", "1"])
+    for name, text in (("headerless.csv", rows), ("header.csv", "x,y\n" + rows)):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_samples(path).points == ((0.0, 1.0), (0.5, 0.2), (1.0, 0.7))
+        assert run(capsys, ["fit", "poly", str(path), "--n", "1"]) == (0, expected, "")
+
+
 def test_load_samples_rejects_bad_rows(tmp_path):
     bad_arity = tmp_path / "a.csv"
     bad_arity.write_text("1,2,3\n")
@@ -146,6 +160,45 @@ def test_fit_poly_csv_output(capsys, fixture_csv):
     assert code == 0
     assert out.startswith("field,value\nmode,maxplus\n")
     assert "delta_star," in out
+
+
+#: ``fit rational --n 2 --l 2 --output csv`` on the fixture, byte for byte.
+FIXTURE_N2L2_CSV = (
+    "field,value\n"
+    "mode,maxplus\n"
+    "n,2\n"
+    "l,2\n"
+    "numerator_exponent_1,-0.062860877684407\n"
+    "numerator_coefficient_1,0.5100706816059757\n"
+    "numerator_exponent_2,3.873528011204481\n"
+    "numerator_coefficient_2,-4.601718207282913\n"
+    "denominator_exponent_1,-2.4888608776844072\n"
+    "denominator_coefficient_1,0.41506512605042023\n"
+    "denominator_exponent_2,0.1214909741674445\n"
+    "denominator_coefficient_2,-0.07927561469032035\n"
+    "delta_star,0.30998888888888904\n"
+    "chebyshev_error,0.15499444444444452\n"
+    "delta_1,0.43439999999999995\n"
+    "delta_2,0.35364705882352954\n"
+    "delta_3,0.31366666666666665\n"
+    "delta_4,0.30998888888888904\n"
+    "delta_5,0.47913333333333324\n"
+    "delta_6,0.37360952380952384\n"
+    "delta_7,0.4791333333333332\n"
+    "delta_8,0.37360952380952395\n"
+    "delta_9,0.4791333333333331\n"
+    "delta_10,0.373609523809524\n"
+    "stop_reason,drift-cycle\n"
+)
+
+
+def test_fit_rational_csv_output(capsys, fixture_csv):
+    code, out, _ = run(
+        capsys,
+        ["fit", "rational", str(fixture_csv), "--n", "2", "--l", "2", "--output", "csv"],
+    )
+    assert code == 0
+    assert out == FIXTURE_N2L2_CSV
 
 
 def test_fit_errors_exit_nonzero(capsys, tmp_path, fixture_csv):
@@ -458,7 +511,19 @@ def test_eval_and_sample_reject_malformed_monomial_lists(capsys, tmp_path):
     null_exponent["denominator"]["exponents"][0] = None
     null_n = reference_n2l2_report().to_dict()
     null_n["n"] = None
+    rational_parts = []
+    for denominator, message in (({}, "denominator has no 'exponents' field"),
+                                 ([], "denominator must be an object"),
+                                 (None, "denominator must be an object")):
+        data = reference_n2l2_report().to_dict()
+        data["denominator"] = denominator
+        rational_parts.append((data, message))
+    for key in ("l", "denominator"):
+        data = reference_n2l2_report().to_dict()
+        del data[key]
+        rational_parts.append((data, "both 'l' and 'denominator'"))
     for data, message in (
+        *rational_parts,
         (three_exponents, "numerator"),
         (empty_denominator, "denominator"),
         ([reference_n2l2_report().to_dict()], "a report must be an object"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tropfit import SampleSet, agglomerate, best_approx_solve, error_polynomials, min_poly
 from tropfit.clustering import SCORE_QUANTUM, pair_minima, score_blocks
-from tropfit.puiseux import ZERO_EXPONENT_TOL
+from tropfit.puiseux import sign_masks
 
 from oracles import (
     agglomerate_by_merging,
@@ -239,8 +239,9 @@ def end_slack(polys, block, tol):
     """How far lowering a block's minimum by up to tol can move an end of
     its interval of minimizers: tol over the least nonzero exponent of the
     members' rows."""
-    exponents = np.abs(polys[list(block)][..., 0])
-    return tol / exponents[exponents > ZERO_EXPONENT_TOL].min(initial=np.inf)
+    exponents = polys[list(block)][..., 0]
+    negative, positive = sign_masks(exponents)
+    return tol / np.abs(exponents[negative | positive]).min(initial=np.inf)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from tropfit import (
     eval_rational,
     min_poly,
 )
+from tropfit.puiseux import minimum_at, pairwise_minimum_value, sign_masks
 
 from oracles import canonical_monomials, grid_min, poly_sum
 
@@ -227,6 +228,28 @@ def test_min_poly_one_side_unbounded_interval():
     assert pm.upper is None
     assert pm.lower == pytest.approx(1.0)
     assert pm.representative() == pm.lower
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("p, on_zero_side", [(5e-13, True), (2e-12, False)])
+def test_exponents_within_the_zero_tolerance_are_zero_exponents(sign, p, on_zero_side):
+    """An exponent within ZERO_EXPONENT_TOL (1e-12) of 0 is a zero exponent
+    for ``sign_masks``, ``pairwise_minimum_value``, ``minimum_at`` and
+    ``min_poly`` alike: its coefficient is a candidate mu and it leaves its
+    side of the interval of minimizers unbounded.  One beyond the tolerance
+    bounds that side."""
+    ps, ts = np.array([-sign, sign * p]), np.array([0.0, 5.0])
+    negative, positive = sign_masks(ps)
+    zero = ~(negative | positive)
+    assert zero.tolist() == [False, on_zero_side]
+    mu = pairwise_minimum_value(ps[negative], ts[negative], ps[positive], ts[positive], ts[zero])
+    pm = min_poly(PuiseuxPoly(zip(ps.tolist(), ts.tolist())))
+    assert pm == minimum_at(mu, ps, ts)
+    small_side = pm.upper if sign > 0 else pm.lower
+    if on_zero_side:
+        assert pm.mu == 5.0 and small_side is None
+    else:
+        assert pm.mu < 5.0 and small_side is not None
 
 
 @settings(max_examples=150, deadline=None)
