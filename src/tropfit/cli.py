@@ -75,7 +75,7 @@ def _cmd_fit_rational(args: argparse.Namespace) -> int:
         n=args.n, l=args.l, epsilon=args.epsilon, iteration_cap=args.max_iter
     )
     fit = fit_rational(to_maxplus_samples(samples, args.mode), config)
-    _emit_report(report_from_rational_fit(fit, args.mode, args.n, args.l), args.output)
+    _emit_report(report_from_rational_fit(fit, args.mode), args.output)
     return 0
 
 

@@ -56,12 +56,14 @@ SCORE_QUANTUM = 1e-12
 _DEAD = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Sample abscissae and ordinates; all coordinates finite."""
+    """Sample abscissae and ordinates, all finite, as read-only float64
+    arrays: the set's own copy of the caller's values, validated once, which
+    the fit path reads without copying."""
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __init__(self, xs: Iterable[float], ys: Iterable[float]):
         xs, ys = (np.array(v if isinstance(v, np.ndarray) else [*v], dtype=float) for v in (xs, ys))
@@ -76,8 +78,9 @@ class SampleSet:
         if not finite.all():
             bad = both[finite.argmin()].item()
             raise ValueError(f"sample coordinates must be finite, got {bad!r}")
-        object.__setattr__(self, "xs", tuple(xs.tolist()))
-        object.__setattr__(self, "ys", tuple(ys.tolist()))
+        for name, values in (("xs", xs), ("ys", ys)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "SampleSet":
@@ -86,7 +89,7 @@ class SampleSet:
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.xs, self.ys))
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -101,8 +104,7 @@ def error_polynomials(samples: SampleSet) -> np.ndarray:
     closed forms.  E[i, i] = (0, 0), so E_i(p) >= 0 for all p.  Raises
     ValueError when a difference overflows the float range.
     """
-    xs = np.array(samples.xs)
-    ys = np.array(samples.ys)
+    xs, ys = samples.xs, samples.ys
     with np.errstate(over="ignore"):
         polys = np.stack((xs[None, :] - xs[:, None], ys[:, None] - ys[None, :]), axis=-1)
     if not np.isfinite(polys).all():

@@ -67,13 +67,17 @@ class PolyFit:
     """Fitted polynomial with its squared error and exponent-search record.
 
     ``coefficients`` aligns with ``exponent_result.exponents`` and preserves
-    duplicate exponents as produced; ``poly`` is the canonicalized function.
+    duplicate exponents as produced.
     """
 
-    poly: PuiseuxPoly
     delta_star: float
     exponent_result: ExponentResult
     coefficients: tuple[float, ...]
+
+    @property
+    def poly(self) -> PuiseuxPoly:
+        """The canonicalized function, built when read."""
+        return PuiseuxPoly(zip(self.exponent_result.exponents, self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,8 @@ def _poly_fit(samples: SampleSet, result: ExponentResult) -> PolyFit:
     move the alternation in fit_rational.
     """
     vandermonde = np.multiply.outer(samples.xs, result.exponents)
-    _, xhat = residuate(vandermonde, np.array(samples.ys))
-    coeffs = tuple((result.delta_star / 2 + xhat).tolist())
-    poly = PuiseuxPoly(zip(result.exponents, coeffs))
-    return PolyFit(poly, result.delta_star, result, coeffs)
+    _, xhat = residuate(vandermonde, samples.ys)
+    return PolyFit(result.delta_star, result, tuple((result.delta_star / 2 + xhat).tolist()))
 
 
 def fit_polynomial(samples: SampleSet, n: int) -> PolyFit:
@@ -169,18 +171,18 @@ def fit_rational(samples: SampleSet, config: FitConfig) -> RationalFit:
     """
     check_count(config.n, "n", len(samples))
     check_count(config.l, "l", len(samples))
-    xs, ys = np.array(samples.xs), np.array(samples.ys)
+    xs, ys = samples.xs, samples.ys
 
     def values(exponents, coefficients) -> np.ndarray:
         return matvec(np.multiply.outer(xs, exponents), coefficients)
 
     def fit_numerator(target: np.ndarray):
-        fit = fit_polynomial(SampleSet(samples.xs, target), config.n)
+        fit = fit_polynomial(SampleSet(xs, target), config.n)
         p, t = fit.exponent_result.exponents, fit.coefficients
         return fit.delta_star, (p, t), values(p, t) - ys
 
     def fit_denominator(target: np.ndarray):
-        fit = fit_polynomial(SampleSet(samples.xs, target), config.l)
+        fit = fit_polynomial(SampleSet(xs, target), config.l)
         q, s = fit.exponent_result.exponents, fit.coefficients
         return fit.delta_star, (q, s), ys + values(q, s)
 

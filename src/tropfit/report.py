@@ -61,7 +61,7 @@ def to_maxplus_samples(samples: SampleSet, mode: str) -> SampleSet:
     if mode == MODE_MAXPLUS:
         return samples
     if mode == MODE_MAXTIMES:
-        for v in (*samples.xs, *samples.ys):
+        for v in (*samples.xs.tolist(), *samples.ys.tolist()):
             if v <= 0:
                 raise ValueError(f"max-times samples must be positive, got {v!r}")
         return SampleSet(
@@ -134,8 +134,9 @@ class FitReport:
     def from_dict(cls, data: dict) -> "FitReport":
         """Parse a report object; a missing field, a value of the wrong JSON
         type, an unknown mode, malformed monomial lists, 'l' without
-        'denominator' or the reverse, or a trace entry that is not a
-        [step, error] pair raise ValueError."""
+        'denominator' or the reverse, an 'n' or 'l' other than its part's
+        monomial count, a max-times coefficient that is not positive, or a
+        trace entry that is not a [step, error] pair raise ValueError."""
         _expect(data, dict, "a report")
         mode = _field(data, "mode")
         if mode not in (MODE_MAXPLUS, MODE_MAXTIMES):
@@ -145,9 +146,13 @@ class FitReport:
             raise ValueError(
                 "a rational report has both 'l' and 'denominator', a polynomial one neither"
             )
-        den_p = den_t = None
+        n = _monomial_count(data, "n", num_p, "numerator")
+        l = den_p = den_t = None
         if "denominator" in data:
             den_p, den_t = _monomial_lists(data, "denominator")
+            l = _monomial_count(data, "l", den_p, "denominator")
+        if mode == MODE_MAXTIMES and min(num_t + (den_t or ())) <= 0:
+            raise ValueError("max-times coefficients must be positive")
         trace = []
         for entry in _expect(_field(data, "trace"), list, "trace"):
             if len(_numbers(entry, "a trace entry")) != 2:
@@ -155,8 +160,8 @@ class FitReport:
             trace.append((_expect(entry[0], int, "a trace step"), float(entry[1])))
         return cls(
             mode=mode,
-            n=_expect(_field(data, "n"), int, "n"),
-            l=_expect(data["l"], int, "l") if "l" in data else None,
+            n=n,
+            l=l,
             numerator_exponents=num_p,
             numerator_coefficients=num_t,
             denominator_exponents=den_p,
@@ -212,6 +217,14 @@ def _monomial_lists(data: dict, part: str) -> tuple[tuple, tuple]:
     return exponents, coefficients
 
 
+def _monomial_count(data: dict, key: str, exponents: tuple, part: str) -> int:
+    """``data[key]`` if it counts ``part``'s monomials, else ValueError."""
+    count = _expect(_field(data, key), int, key)
+    if count != len(exponents):
+        raise ValueError(f"{key} is {count}, but the {part} has {len(exponents)} monomials")
+    return count
+
+
 def _map_mode(value: float, mode: str) -> float:
     if mode != MODE_MAXTIMES:
         return value
@@ -223,12 +236,22 @@ def _map_mode(value: float, mode: str) -> float:
         ) from None
 
 
+def _map_coefficients(coefficients: tuple[float, ...], mode: str) -> tuple[float, ...]:
+    """``_map_mode`` of each coefficient; a max-times coefficient that
+    underflows to 0.0 raises ValueError, as no report can carry its log."""
+    mapped = tuple(_map_mode(t, mode) for t in coefficients)
+    if mode == MODE_MAXTIMES and 0.0 in mapped:
+        t = coefficients[mapped.index(0.0)]
+        raise ValueError(f"max-times coefficient exp({t!r}) underflows the float range")
+    return mapped
+
+
 def report_from_poly_fit(fit: PolyFit, mode: str) -> FitReport:
     return FitReport(
         mode=mode,
         n=len(fit.exponent_result.exponents),
         numerator_exponents=fit.exponent_result.exponents,
-        numerator_coefficients=tuple(_map_mode(t, mode) for t in fit.coefficients),
+        numerator_coefficients=_map_coefficients(fit.coefficients, mode),
         delta_star=_map_mode(fit.delta_star, mode),
         chebyshev_error=_map_mode(fit.delta_star / 2, mode),
         trace=((1, _map_mode(fit.delta_star, mode)),),
@@ -236,19 +259,15 @@ def report_from_poly_fit(fit: PolyFit, mode: str) -> FitReport:
     )
 
 
-def report_from_rational_fit(fit: RationalFit, mode: str, n: int, l: int) -> FitReport:
+def report_from_rational_fit(fit: RationalFit, mode: str) -> FitReport:
     return FitReport(
         mode=mode,
-        n=n,
-        l=l,
+        n=len(fit.numerator_exponents),
+        l=len(fit.denominator_exponents),
         numerator_exponents=fit.numerator_exponents,
-        numerator_coefficients=tuple(
-            _map_mode(t, mode) for t in fit.numerator_coefficients
-        ),
+        numerator_coefficients=_map_coefficients(fit.numerator_coefficients, mode),
         denominator_exponents=fit.denominator_exponents,
-        denominator_coefficients=tuple(
-            _map_mode(t, mode) for t in fit.denominator_coefficients
-        ),
+        denominator_coefficients=_map_coefficients(fit.denominator_coefficients, mode),
         delta_star=_map_mode(fit.delta_star, mode),
         chebyshev_error=_map_mode(fit.delta_star / 2, mode),
         trace=tuple((k, _map_mode(d, mode)) for k, d in fit.trace),

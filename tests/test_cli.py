@@ -219,7 +219,8 @@ def test_maxtimes_mode_rejects_nonpositive(capsys, tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("0.0,1.0\n1.0,2.0\n")
     code, _, err = run(capsys, ["fit", "poly", str(data), "--n", "1", "--mode", "maxtimes"])
-    assert code == 2 and "positive" in err
+    assert code == 2
+    assert err == "tropfit: error: max-times samples must be positive, got 0.0\n"
 
 
 @pytest.mark.parametrize(
@@ -294,6 +295,30 @@ def test_maxtimes_overflow_exits_2(capsys, tmp_path, rows, point):
         report_path.write_text(out)
         code, _, err = run(capsys, ["eval", str(report_path), point])
     assert code == 2 and "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["poly", "--n", "1"], ["rational", "--n", "1", "--l", "1"]], ids=["poly", "rational"]
+)
+def test_maxtimes_coefficient_underflow_exits_2(capsys, tmp_path, args):
+    """A max-times coefficient has to be positive for its report to be read
+    back: ``fit`` exits 2 on one whose exp underflows to 0.0, and ``eval``
+    and ``sample`` on a report holding one <= 0."""
+    data = tmp_path / "d.csv"
+    data.write_text("1e300,1e300\n1e290,1\n")
+    code, _, err = run(capsys, ["fit", args[0], str(data), *args[1:], "--mode", "maxtimes"])
+    assert code == 2 and "underflows" in err
+    data.write_text("1,2\n2,1\n4,3\n")
+    code, out, err = run(capsys, ["fit", args[0], str(data), *args[1:], "--mode", "maxtimes"])
+    assert code == 0, err
+    for coefficient in (0.0, -1.0):
+        report = json.loads(out)
+        report["numerator"]["coefficients"][0] = coefficient
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        for argv in _report_commands(path):
+            code, _, err = run(capsys, argv)
+            assert code == 2 and "max-times coefficients must be positive" in err
 
 
 def test_maxtimes_mode_maps_coefficients(capsys, tmp_path):
@@ -522,6 +547,10 @@ def test_eval_and_sample_reject_malformed_monomial_lists(capsys, tmp_path):
         data = reference_n2l2_report().to_dict()
         del data[key]
         rational_parts.append((data, "both 'l' and 'denominator'"))
+    for key, count in (("n", 7), ("n", -3), ("l", 1)):
+        data = reference_n2l2_report().to_dict()
+        data[key] = count
+        rational_parts.append((data, f"{key} is {count}, but the"))
     for data, message in (
         *rational_parts,
         (three_exponents, "numerator"),

@@ -53,7 +53,15 @@ def test_sampleset_validation():
     assert len(s) == 2
     s = SampleSet(np.array([1, 3]), iter([np.float64(2.0), 4]))
     assert s.points == ((1.0, 2.0), (3.0, 4.0))
-    assert all(type(v) is float for v in s.xs + s.ys)
+    xs, ys = np.array([1.0, 3.0]), [2.0, 4]
+    s = SampleSet(xs, ys)
+    for values in (s.xs, s.ys):
+        assert values.dtype == np.float64
+        with pytest.raises(ValueError):
+            values[0] = 5.0
+    xs[0], ys[0] = 7.0, 8.0
+    assert s.points == ((1.0, 2.0), (3.0, 4.0))
+    assert all(type(v) is float for point in s.points for v in point)
 
 
 def test_error_polynomials_two_samples():
