@@ -16,6 +16,7 @@ and 2 on any input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -127,7 +128,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call shares it."""
     parser = _Parser(
         prog="tropfit",
         description="Fit max-plus polynomials and rational functions to data.",

@@ -23,11 +23,11 @@ The search is therefore complete-linkage clustering on the M x M matrix of
 pair minima (``pair_minima``).  Only the data's lower convex hull attains a
 pair minimum, so each entry is one term of the mu formula, at the hull
 vertex that supports the pair's chord, rather than the max over all O(M^2)
-monomial pairs: D costs O(M^2) array work on any data.  The merges rank the
-quantized pair minima once into an integer key matrix, name each group by
-its least sample, and keep one heap entry per group: its least key and
-partner.  A merge costs O(M) array work and a few heap operations.  The N
-final blocks are scored from D as well: a block's minimum is the largest
+monomial pairs: D costs O(M^2) array work on any data.  The merges key each
+pair by its quantized pair minimum, name each group by its least sample,
+and keep one heap entry per group: its least key and partner.  A merge
+costs O(M) array work and a few heap operations.  The N final blocks are
+scored from D as well, all in one pass: a block's minimum is the largest
 entry of D over its pairs, and its interval of minimizers comes from its
 members' rows of E.  The search builds no polynomial object.
 """
@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -52,8 +53,10 @@ from .puiseux import min_poly, pairwise_minimum_value  # noqa: F401
 #: candidate pair, which makes runs reproducible across platforms.
 SCORE_QUANTUM = 1e-12
 
-#: Key of a pair that is not live in ``agglomerate``: above every rank.
-_DEAD = int(np.iinfo(np.int64).max)
+#: Key of a pair that is not live in ``agglomerate``, and the cap of a live
+#: key, which keeps a quantized score that overflows below the dead key.
+_DEAD = np.inf
+_LIVE_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,20 +152,28 @@ def score_blocks(
 
     A block's merged polynomial is the tropical sum of its members' rows of
     ``polys``, and its minimum is the largest of the ``pair_minima`` matrix
-    ``minima`` over the block's pairs of samples.  ``minimum_at`` gives the
-    interval of minimizers from the members' rows, and the block's exponent
-    is the interval's representative point: the same values as ``min_poly``
-    on the merged polynomial, with no polynomial built.
+    ``minima`` over the block's pairs of samples: one pass masks D to the
+    pairs within a block and takes each block's largest entry.
+    ``minimum_at`` gives every block's interval of minimizers from its
+    members' rows in one pass, and the block's exponent is the interval's
+    representative point: the same values as ``min_poly`` on the merged
+    polynomial, with no polynomial built.
     """
-    scored = []
-    for indices in sorted((sorted(block) for block in blocks), key=lambda block: block[0]):
-        mu = float(minima[np.ix_(indices, indices)].max())
-        rows = polys[indices]
-        minimum = minimum_at(mu, rows[..., 0], rows[..., 1])
-        scored.append(PartitionBlock(frozenset(indices), minimum))
-    mus = tuple(b.minimum.mu for b in scored)
-    exponents = tuple(b.minimum.representative() for b in scored)
-    return ExponentResult(exponents, mus, max(mus), Partition(tuple(scored)))
+    blocks = sorted((sorted(block) for block in blocks), key=lambda block: block[0])
+    sizes = [len(block) for block in blocks]
+    starts = [0, *accumulate(sizes[:-1])]
+    order = np.concatenate(blocks)
+    label = np.full(len(minima), -1)
+    label[order] = np.repeat(np.arange(len(blocks)), sizes)
+    row_max = np.where(label[:, None] == label, minima, -np.inf).max(axis=1)
+    rows = polys[order]
+    found = minimum_at(
+        np.maximum.reduceat(row_max[order], starts), rows[..., 0], rows[..., 1], starts
+    )
+    scored = tuple(PartitionBlock(frozenset(b), minimum) for b, minimum in zip(blocks, found))
+    mus = tuple(minimum.mu for minimum in found)
+    exponents = tuple(minimum.representative() for minimum in found)
+    return ExponentResult(exponents, mus, max(mus), Partition(scored))
 
 
 def _check_polys(polys: np.ndarray) -> int:
@@ -283,50 +294,55 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
         score(A + B, C) = max(score(A, B), score(A, C), score(B, C)).
 
     Each merge takes the pair with the least score quantized to
-    SCORE_QUANTUM (+inf beyond the float range), ties going to the least
-    (least sample of one group, least sample of the other).  The quantized
-    scores are ranked once, which keeps their order and ties, and the ranks
-    live in the upper triangle of an M x M integer key matrix; every other
-    entry is _DEAD, above every rank.  A group is named by its least sample,
-    so the tie-break is the row-major order of the upper triangle.  The
-    heap holds one entry per row, (least key, row, partner), the partner
-    being the first column holding that key; an entry whose row has since
-    changed its partner or its key there is skipped on pop.  Merging a < b
-    writes the rule's row into row and column a, kills row and column b,
-    and re-pushes row a and every row whose partner was a or b: keys only
-    grow, so no other row's entry changes.
+    SCORE_QUANTUM, ties going to the least (least sample of one group,
+    least sample of the other).  The quantized scores are the keys, capped
+    at the largest float: a score whose quantization overflows (D above
+    about 1.8e296) keys at the cap, so all of them tie, and the cap keeps
+    them below _DEAD.  The keys live in the upper triangle of an M x M
+    float matrix; every other entry is _DEAD (+inf).  A group is named by
+    its least sample, so the tie-break is the row-major order of the upper
+    triangle.  The heap holds one entry per row, (least key, row,
+    partner), the partner being the first column holding that key; an
+    entry whose row has since changed its partner or its key there is
+    skipped on pop.  Merging a < b writes the rule's row into row and
+    column a, kills row and column b, and re-pushes, in ascending order,
+    row a and every row whose partner was a or b, which an index from each
+    partner to the rows naming it finds without a scan: keys only grow, so
+    no other row's entry changes.  The rule needs no max with score(A, B):
+    that is the least live key, so no live score(A, C) or score(B, C) is
+    below it.
 
     The cost per call is D, O(M^2) array work, plus O(M) array work and a
-    few heap operations per merge.  ``score_blocks`` then reads the n final blocks'
-    minima from the same D and their minimizing intervals from their rows
-    of ``polys``; each block's exponent is its interval's representative
-    point.
+    few heap operations per merge.  ``score_blocks`` then reads the n final
+    blocks' minima from the same D and their minimizing intervals from their
+    rows of ``polys``; each block's exponent is its interval's
+    representative point.
     """
     m = _check_polys(polys)
     check_count(n, "group count", m)
 
     with np.errstate(over="ignore"):
         minima = pair_minima(polys)
-        quantized = np.rint(minima / SCORE_QUANTUM)
-    # The inverse's shape differs between numpy versions.
-    rank = np.unique(quantized, return_inverse=True)[1].reshape(m, m)
-    upper = np.arange(m)[:, None] < np.arange(m)
-    keys = np.full((m, m), _DEAD, dtype=np.int64)
-    keys[upper] = rank[upper]
+        keys = np.minimum(np.rint(minima / SCORE_QUANTUM), _LIVE_MAX)
+    keys[np.arange(m)[:, None] >= np.arange(m)] = _DEAD
 
     members = {i: [i] for i in range(m)}
-    partner = np.full(m, -1)
-    heap: list[tuple[int, int, int]] = []
+    partner: list[int | None] = [None] * m
+    named: list[set[int]] = [set() for _ in range(m)]  # rows whose entry names a column
+    heap: list[tuple[float, int, int]] = []
 
-    def push(rows: np.ndarray) -> None:
+    def push(rows: list[int]) -> None:
         cols = keys[rows].argmin(axis=1)
-        least = keys[rows, cols]
-        partner[rows] = np.where(least == _DEAD, -1, cols)
-        for entry in zip(least.tolist(), rows.tolist(), cols.tolist()):
-            if entry[0] != _DEAD:
+        for entry in zip(keys[rows, cols].tolist(), rows, cols.tolist()):
+            key, row, col = entry
+            if key == _DEAD:
+                partner[row] = None
+            else:
+                partner[row] = col
+                named[col].add(row)
                 heapq.heappush(heap, entry)
 
-    push(np.arange(m))
+    push(list(range(m)))
     while len(members) > n:
         inner, a, b = heapq.heappop(heap)
         while partner[a] != b or keys[a, b] != inner:
@@ -334,13 +350,15 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
         members[a] += members.pop(b)
         # key(a, c) and key(b, c) for every c, from whichever triangle holds them
         row = np.maximum(np.minimum(keys[a], keys[:, a]), np.minimum(keys[b], keys[:, b]))
-        np.maximum(row, inner, out=row)
         keys[a, a + 1 :] = row[a + 1 :]
         keys[:a, a] = row[:a]
         keys[b] = keys[:, b] = _DEAD
-        partner[b] = -1
-        stale = (partner == a) | (partner == b)
-        stale[a] = True
-        push(stale.nonzero()[0])
+        if partner[b] is not None:
+            named[partner[b]].discard(b)
+            partner[b] = None
+        stale = sorted(named[a] | named[b])  # a among them: its entry named b
+        named[a].clear()
+        named[b].clear()
+        push(stale)
 
     return score_blocks(members.values(), polys, minima)

@@ -65,9 +65,13 @@ def distance(x, y) -> float:
 
     Equals the Chebyshev metric max_i |x_i - y_i| on co-supported vectors,
     ONE when both vectors are all-ZERO, and INFINITE when the supports
-    differ.
+    differ.  Both must be 1-D with real or ZERO entries.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for name, v in (("x", x), ("y", y)):
+        if v.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D vector")
+        _check_entries(v, name)
     if x.shape != y.shape:
         raise ValueError("dimension mismatch")
     support = x > ZERO
@@ -76,6 +80,12 @@ def distance(x, y) -> float:
     if not support.any():
         return ONE
     return float(np.max(np.abs(x[support] - y[support])))
+
+
+def _check_entries(a: np.ndarray, name: str) -> None:
+    """ValueError unless every entry of ``a`` is real or ZERO."""
+    if np.isnan(a).any() or (a == math.inf).any():
+        raise ValueError(f"{name} entries must be real or ZERO (-inf)")
 
 
 def _matrix(a, name: str) -> np.ndarray:
@@ -87,8 +97,7 @@ def _matrix(a, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a rectangular matrix of numbers") from exc
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-D matrix")
-    if np.isnan(a).any() or (a == math.inf).any():
-        raise ValueError(f"{name} entries must be real or ZERO (-inf)")
+    _check_entries(a, name)
     support = a > ZERO
     if not (support.any(axis=1).all() and support.any(axis=0).all()):
         raise ValueError(f"{name} must be regular (no all-ZERO row or column)")

@@ -25,9 +25,10 @@ exponent on the negative, zero or positive side.  ``min_poly`` and the
 exponent search's pair minima (``clustering.pair_minima``) both use them.
 
 ``minimum_at`` holds the interval formula.  ``min_poly`` feeds it the mu
-above; the exponent search feeds it a mu it already knows (the largest pair
-minimum over a block) with the block's monomials as they are, unsorted and
-unmerged.  It reports a zero minimum as 0.0, never -0.0: of tied 0.0 and
+above as a single block; the exponent search feeds it all its final blocks
+at once, each with a mu it already knows (the largest pair minimum over the
+block) and the members' monomials as they are, unsorted and unmerged.  It
+reports a zero minimum as 0.0, never -0.0: of tied 0.0 and
 -0.0 terms, numpy's max returns one that depends on the array's length and
 order, so only a fixed sign gives both callers the same result, down to
 the signs of zero interval ends.
@@ -166,21 +167,40 @@ def pairwise_minimum_value(
     return max(float(pairs.max(initial=-np.inf)), float(zero_t.max(initial=-np.inf)))
 
 
-def minimum_at(mu: float, exponents: np.ndarray, coefficients: np.ndarray) -> PolyMinimum:
-    """The attained minimum mu of the polynomial with these monomials, with
-    its interval of minimizers by the closed form above; a zero mu is
-    reported as 0.0.
+def minimum_at(
+    mus: np.ndarray | list[float],
+    exponents: np.ndarray,
+    coefficients: np.ndarray,
+    starts: list[int],
+) -> list[PolyMinimum]:
+    """The attained minima ``mus`` of several polynomials with their
+    intervals of minimizers by the closed form above; a zero mu is reported
+    as 0.0.
 
-    The monomials may come in any order and repeat an exponent: float
-    subtraction and division are monotone in theta_j, so a repeated
-    exponent's smaller coefficients never set an end of the interval, and
-    the ends equal those of the canonical polynomial.
+    ``exponents`` and ``coefficients`` are (R, K) arrays of monomials, and
+    polynomial b owns rows starts[b] up to the next start (``starts``
+    ascending from 0).  The monomials may come in any order and repeat an
+    exponent: float subtraction and division are monotone in theta_j, so a
+    repeated exponent's smaller coefficients never set an end of the
+    interval, and the ends equal those of the canonical polynomial.
     """
-    mu += 0.0  # -0.0 + 0.0 is 0.0
+    mus = np.asarray(mus, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
+    bounds = [*starts, len(exponents)]
+    sizes = [end - start for start, end in zip(bounds, bounds[1:])]
     neg, pos = sign_masks(exponents)
-    lower = float(((mu - coefficients[neg]) / exponents[neg]).max()) if neg.any() else None
-    upper = float(((mu - coefficients[pos]) / exponents[pos]).min()) if pos.any() else None
-    return PolyMinimum(mu, lower, upper)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = (np.repeat(mus, sizes)[:, None] - coefficients) / exponents
+    lower = np.maximum.reduceat(np.where(neg, ends, -np.inf).max(axis=1), starts)
+    upper = np.minimum.reduceat(np.where(pos, ends, np.inf).min(axis=1), starts)
+    # which sides are bounded comes from the masks: an end may overflow to inf
+    has_neg = np.logical_or.reduceat(neg.any(axis=1), starts)
+    has_pos = np.logical_or.reduceat(pos.any(axis=1), starts)
+    return [
+        PolyMinimum(mu, lo if some_neg else None, up if some_pos else None)
+        for mu, lo, up, some_neg, some_pos in zip(
+            mus.tolist(), lower.tolist(), upper.tolist(), has_neg.tolist(), has_pos.tolist()
+        )
+    ]
 
 
 def min_poly(poly: PuiseuxPoly) -> PolyMinimum:
@@ -191,4 +211,4 @@ def min_poly(poly: PuiseuxPoly) -> PolyMinimum:
     mu = pairwise_minimum_value(ps[neg], ts[neg], ps[pos], ts[pos], ts[~(neg | pos)])
     if mu == -math.inf:
         return PolyMinimum(mu, None, None, attained=False)
-    return minimum_at(mu, ps, ts)
+    return minimum_at([mu], ps[None], ts[None], [0])[0]

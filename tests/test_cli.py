@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from tropfit.cli import fixture_curve, fixture_rows, main
+from tropfit.cli import _build_parser, fixture_curve, fixture_rows, main
 from tropfit.report import FitReport, load_samples
 
 
@@ -117,6 +117,35 @@ def test_fit_rational_report(capsys, fixture_csv):
     assert report.delta_star == pytest.approx(0.3099, abs=1e-3)
     assert report.trace[0] == (1, pytest.approx(0.4344, abs=1e-3))
     assert report.stop_reason in {"converged-within-epsilon", "cycle", "drift-cycle", "iteration-cap"}
+
+
+def test_parser_is_reused_unchanged_after_errors_and_help(capsys, fixture_csv, tmp_path):
+    """One parser serves every ``main`` call in a process: a usage error and
+    ``--help`` leave it as it was, so later calls print what the same calls
+    print in a fresh process, and a ``fit poly`` namespace carries no
+    rational-only option."""
+    fit_rational = ["fit", "rational", str(fixture_csv), "--n", "2", "--l", "2"]
+    fit_poly = ["fit", "poly", str(fixture_csv), "--n", "2"]
+    report = tmp_path / "fit.json"
+    sample = ["sample", str(report), "--from", "0", "--to", "2", "--steps", "5"]
+    _build_parser.cache_clear()
+    code, fresh_rational, _ = run(capsys, fit_rational)
+    report.write_text(fresh_rational)
+    fresh = (fresh_rational, run(capsys, fit_poly)[1], run(capsys, sample)[1])
+    assert code == 0
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "rational", str(fixture_csv), "--n", "2"])
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    capsys.readouterr()
+
+    assert (run(capsys, fit_rational)[1], run(capsys, fit_poly)[1],
+            run(capsys, sample)[1]) == fresh
+    args = _build_parser().parse_args(fit_poly)
+    assert not hasattr(args, "l") and not hasattr(args, "epsilon")
 
 
 def test_report_roundtrips(capsys, fixture_csv):

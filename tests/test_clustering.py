@@ -5,6 +5,7 @@ results, and the two max/min identities the search rests on."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,18 @@ def test_agglomerate_matches_merging_reference_on_random_sets(seed):
     """Generic merges, where a row whose partner was merged away must find
     its next partner."""
     assert_matches_merging_reference(random_sampleset(np.random.default_rng(seed), 12))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_agglomerate_matches_merging_reference_at_forty_tie_heavy_samples(n):
+    """Forty samples on a grid with one-decimal ordinates: many tied keys,
+    and merges whose partners leave many rows stale at once."""
+    rng = random.Random(0)
+    samples = SampleSet([i / 10 for i in range(40)],
+                        [round(rng.uniform(-1, 1), 1) for _ in range(40)])
+    fast = agglomerate(error_polynomials(samples), n)
+    ref = agglomerate_by_merging(sample_polynomials(samples), n)
+    assert fast.partition.index_sets() == ref.partition.index_sets()
 
 
 def quantized_keys(samples):

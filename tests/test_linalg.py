@@ -108,6 +108,26 @@ def test_distance_all_zero_vectors():
     assert distance(z, z) == ONE
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        pytest.param([math.nan, 1.0], [math.nan, 3.0], "x entries", id="nan-both"),
+        pytest.param([math.nan], [math.nan], "x entries", id="nan-only"),
+        pytest.param([1.0], [math.nan], "y entries", id="nan-in-y"),
+        pytest.param([math.inf], [1.0], "x entries", id="plus-inf"),
+        pytest.param([math.inf], [math.inf], "x entries", id="plus-inf-both"),
+        pytest.param([[1.0, 2.0]], [[1.0, 5.0]], "x must be a 1-D vector", id="2-d"),
+        pytest.param(1.0, 2.0, "x must be a 1-D vector", id="scalar"),
+        pytest.param([1.0], [[1.0]], "y must be a 1-D vector", id="2-d-y"),
+    ],
+)
+def test_distance_rejects_entries_other_than_reals_or_zero_and_non_vectors(x, y, message):
+    """NaN is not the tropical zero and +inf is not a real value: both are
+    rejected, in the solvers' wording, as is input that is not 1-D."""
+    with pytest.raises(ValueError, match=message):
+        distance(x, y)
+
+
 def test_infinite_orders_above_every_scalar():
     assert INFINITE > 1e300 and INFINITE > ZERO
     assert not INFINITE < 1e300

@@ -244,7 +244,7 @@ def test_exponents_within_the_zero_tolerance_are_zero_exponents(sign, p, on_zero
     assert zero.tolist() == [False, on_zero_side]
     mu = pairwise_minimum_value(ps[negative], ts[negative], ps[positive], ts[positive], ts[zero])
     pm = min_poly(PuiseuxPoly(zip(ps.tolist(), ts.tolist())))
-    assert pm == minimum_at(mu, ps, ts)
+    assert [pm] == minimum_at([mu], ps[None], ts[None], [0])
     small_side = pm.upper if sign > 0 else pm.lower
     if on_zero_side:
         assert pm.mu == 5.0 and small_side is None
