@@ -3,8 +3,10 @@
 
 Default: the six headline (N, L) configurations.  ``--full`` sweeps the whole
 N, L in 2..7 grid and reports, for each N, the L with the smallest squared
-error.  ``--plot-data out.csv`` additionally samples the best fitted curve
-for external plotting.
+error.  ``--offset C`` fits the ordinates plus C, to see how the stop rules
+fare far from 0.  The last line gives the total half-steps of all fits and
+the configurations that ran to the iteration cap.  ``--plot-data out.csv``
+additionally samples the best fitted curve for external plotting.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import time
 
 from tropfit import FitConfig, SampleSet, eval_rational, fit_rational
 from tropfit.cli import fixture_rows
+from tropfit.fitting import STOP_CAP
 
 HEADLINE = [(2, 2), (3, 3), (4, 4), (5, 3), (6, 5), (7, 5)]
 
@@ -25,11 +28,12 @@ def run(samples: SampleSet, n: int, l: int):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="sweep N, L in 2..7")
+    parser.add_argument("--offset", type=float, default=0.0, metavar="C", help="fit ys + C")
     parser.add_argument("--plot-data", metavar="OUT", help="write sampled best curve")
     args = parser.parse_args()
 
     samples = SampleSet.from_points(
-        [(round(x, 4), round(y, 4)) for x, y in fixture_rows()]
+        [(round(x, 4), round(y, 4) + args.offset) for x, y in fixture_rows()]
     )
 
     print(f"{'N':>2} {'L':>2} {'delta*':>10} {'stop':>26} {'iters':>6} {'time':>7}")
@@ -38,12 +42,16 @@ def main() -> int:
         [(n, l) for n in range(2, 8) for l in range(2, 8)] if args.full else HEADLINE
     )
     per_n: dict[int, tuple[float, int]] = {}
+    halfsteps, capped = 0, []
     for n, l in configs:
         fit, elapsed = run(samples, n, l)
         print(
             f"{n:>2} {l:>2} {fit.delta_star:>10.6f} {fit.stop_reason:>26} "
             f"{len(fit.trace):>6} {elapsed:>6.2f}s"
         )
+        halfsteps += len(fit.trace)
+        if fit.stop_reason == STOP_CAP:
+            capped.append(f"({n},{l})")
         if fit.delta_star < per_n.get(n, (float("inf"), 0))[0]:
             per_n[n] = (fit.delta_star, l)
         if fit.delta_star < best_delta:
@@ -63,6 +71,7 @@ def main() -> int:
                 x = 2.0 * i / (steps - 1)
                 fh.write(f"{x},{eval_rational(best_fit.rational, x)}\n")
         print(f"\nwrote {steps} curve samples to {args.plot_data}")
+    print(f"\ntotal half-steps {halfsteps}; at the cap: {' '.join(capped) or 'none'}")
     return 0
 
 

@@ -21,7 +21,8 @@ Besides exact repetition it detects translated cycles, in which the errors
 repeat while the values of both sides move by the same step each period
 and the parameters drift without bound.  Such a cycle can end, so
 ``alternate`` stops on one only after a probe period far ahead, at the
-iteration cap, shows the same step and errors.
+iteration cap, shows the same errors and the same step, to the step's
+uncertainty times the periods jumped.
 """
 
 from __future__ import annotations
@@ -143,10 +144,10 @@ def residuate(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return delta, xhat
 
 
-def _agree(a: float, b: float) -> bool:
-    """Whether two squared errors agree to AGREE_TOL * max(1, |a|), a
-    tolerance that an offset of the data does not move."""
-    return abs(a - b) <= AGREE_TOL * max(1.0, abs(a))
+def _agree(a: float, b: float, slack: float = 0.0) -> bool:
+    """Whether two squared errors agree to AGREE_TOL * max(1, |a|) + slack,
+    a tolerance that an offset of the data does not move."""
+    return abs(a - b) <= AGREE_TOL * max(1.0, abs(a)) + slack
 
 
 def _translation(history):
@@ -180,11 +181,29 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
     ``periods`` periods on.
 
     Jumps the latest values ``periods`` steps ahead, runs one period of
-    half-steps from there, and checks that it lands one more step on, to
-    tau = AGREE_TOL * max(1, |values|), with the errors of the latest
-    period.  A translation that ends before then, say when a drifting value
-    falls below the others, fails this check at the far end.  A jump
-    beyond the float range confirms nothing.
+    half-steps from there, and checks that it lands one more step on with
+    the errors of the latest period.  A jump beyond the float range
+    confirms nothing.
+
+    The landing may miss by (periods + 1) * tau, with tau = AGREE_TOL *
+    max(1, |values|).  ``_translation`` accepts a step once two consecutive
+    steps agree to tau, so the step is known to about tau per period, and
+    the jump and the period after it multiply that by periods + 1.  A
+    translation that ends before then, say when a drifting value falls
+    below the others, misses by about a whole step, which is of the order
+    of the values' spread and far above this.
+
+    The errors get no such allowance: they must agree as in
+    ``_translation``, plus a slack of 64 eps * max|values| for rounding.
+    A half-step's error is a difference of values of that size, reached
+    through a chain of roundings whose length depends on the fit, so the
+    slack is measured rather than derived.  On the bundled fixture at
+    ordinates + 1e6 (N, L in 2..7), the probes that landed but whose
+    errors missed AGREE_TOL differed from the run's by at most 49
+    eps * max|values|, or by 808 and more where the errors were still
+    settling; 64 is the smallest power of two between.  At values near 1
+    the slack is about 1e-14, so errors that still move by 1e-9 over the
+    jump fail the probe.
     """
     (t1, d1), (t0, d0) = history[-2], history[-1]
     start = t0 + periods * step[len(t1):]
@@ -194,11 +213,15 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
     if not _in_range(u1):
         return False
     e0, _, u0 = fit_same(u1)
+    landed = np.concatenate((u1, u0))
+    if not _in_range(landed):
+        return False
+    size = float(np.max(np.abs(landed)))
     with np.errstate(over="ignore", invalid="ignore"):
-        landed = np.concatenate((u1, u0))
         missed = np.max(np.abs(landed - (np.concatenate((t1, t0)) + (periods + 1) * step)))
-        tau = AGREE_TOL * max(1.0, float(np.max(np.abs(landed))))
-    return bool(missed <= tau) and _agree(d1, e1) and _agree(d0, e0)
+    tau = AGREE_TOL * max(1.0, size)
+    slack = 64 * np.finfo(float).eps * size
+    return bool(missed <= (periods + 1) * tau) and _agree(d1, e1, slack) and _agree(d0, e0, slack)
 
 
 def alternate(
@@ -223,8 +246,11 @@ def alternate(
       the same nonzero step in each of the last two periods at repeating
       errors (``_translation``), and a probe confirms that the translation
       still holds at the cap (``_persists``): the run would then only
-      repeat its errors.  The probe's two half-steps are not part of the
-      run or its trace.  After a failed probe at half-step k the next one
+      repeat its errors.  The probe lands within (periods + 1) * tau of the
+      translated values, because the step is known only to tau a period,
+      and its errors agree to AGREE_TOL plus a rounding slack of 64 eps
+      times the values' size.  The probe's two half-steps are not part of
+      the run or its trace.  After a failed probe at half-step k the next one
       waits until half-step 2k, so probes cost at most two half-steps each
       time the run doubles;
     - STOP_CAP otherwise.

@@ -56,7 +56,7 @@ ERROR_TABLE = {(2, 2): 0.3099, (3, 3): 0.1158, (4, 4): 0.0590, (5, 3): 0.0370, (
 ALTERNATION_RECORD = {
     (2, 2): ("drift-cycle", 10, 4),
     (3, 3): ("drift-cycle", 15, 12),
-    (4, 4): ("drift-cycle", 86, 20),
+    (4, 4): ("drift-cycle", 43, 20),
     (5, 3): ("cycle", 14, 11),
     (6, 5): ("drift-cycle", 19, 12),
     (7, 5): ("converged-within-epsilon", 57, 57),
@@ -149,6 +149,18 @@ def test_error_table_under_an_ordinate_offset(fixture_csv):
         config = FitConfig(n=n, l=l)
         delta = fit_rational(samples, config).delta_star
         assert fit_rational(shifted, config).delta_star == pytest.approx(delta, abs=1e-8)
+
+
+def test_an_ordinate_offset_keeps_the_stop_of_a_translated_cycle(fixture_csv):
+    """At ys + 1e6, (2, 2) runs into the translated cycle that stops the
+    unshifted run at half-step 10.  Its probe's errors differ from the
+    run's only by the rounding of the 1e6-scale values, so it must stop
+    there too, with the same best half-step, rather than at the cap."""
+    samples = load_samples(fixture_csv)
+    shifted = SampleSet(samples.xs, [y + 1e6 for y in samples.ys])
+    fit = fit_rational(shifted, FitConfig(n=2, l=2, epsilon=1e-4))
+    best = next(k for k, delta in fit.trace if delta == fit.delta_star)
+    assert (fit.stop_reason, len(fit.trace), best) == ALTERNATION_RECORD[2, 2]
 
 
 def test_criterion_3_first_iteration_anchor(fixture_csv):

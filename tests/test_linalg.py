@@ -372,6 +372,56 @@ def test_alternate_translation_that_ends_before_the_cap_runs_on(floor, cap, reas
     assert (stop, len(trace), delta) == (reason, steps, best)
 
 
+def counted(half, calls):
+    """``half``, appending each target it is called with to ``calls``."""
+
+    def call(target):
+        calls.append(target)
+        return half(target)
+
+    return call
+
+
+def test_alternate_translation_whose_step_still_settles_stops_at_its_first_probe():
+    # values near 1 fall by 1e-3 a half-step plus a residue that shrinks by
+    # 0.8 a half-step, about 1e-9 a period at k = 5: the step changes by
+    # about 6e-10 a period there, within tau = 1e-9, but the 17-period probe
+    # carries the residue and lands about 5e-9 off, more than tau and within
+    # (17 + 1) tau
+    half = lambda target: (1.0, target, target - 1e-3 - 1e-9 * math.exp(223 * (target[0] - 1)))
+    calls = []
+    step = counted(half, calls)
+    _, _, _, trace, reason = alternate(step, step, np.ones(1), np.ones(1), 0.0, 40)
+    assert reason == STOP_DRIFT
+    assert len(trace) == 5
+    assert len(calls) == 7  # one probe
+
+
+def test_alternate_translation_whose_errors_fall_over_the_jump_runs_on():
+    # values near 1 translate by 2e-3 a period while the error, near 50, falls
+    # by 1e-8 a period: within AGREE_TOL * 50 over the last two periods, so
+    # the translation is found, but not over the probes' 27, 25, 20 and 10
+    # periods, and the rounding slack at values near 1 is about 1e-14
+    half = lambda target: (50.0 + 5e-6 * (target[0] - 1), target, target - 1e-3)
+    calls = []
+    step = counted(half, calls)
+    _, _, _, trace, reason = alternate(step, step, np.ones(1), np.ones(1), 0.0, 60)
+    assert reason == STOP_CAP
+    assert len(trace) == 60
+    assert len(calls) == 60 + 2 * 4  # probes at k = 5, 10, 20 and 40
+
+
+def test_alternate_probe_that_lands_beyond_the_float_range_confirms_nothing():
+    # the left side's values leave the float range below a target of -19.5,
+    # which the run never reaches (its last left target is -18) but every
+    # probe's landing does
+    left = lambda target: (1.0, target, target - 1 if target[0] > -19.5 else np.full(1, math.inf))
+    right = lambda target: (2.0, target, target - 1)
+    _, _, _, trace, reason = alternate(left, right, np.zeros(1), np.zeros(1), 0.0, 20)
+    assert reason == STOP_CAP
+    assert len(trace) == 20
+
+
 def test_alternate_zero_step_is_a_cycle_not_a_drift():
     # constant values, so every step is zero; the left parameters settle only
     # at k = 3, so the parameters first repeat at k = 5, where the drift test
