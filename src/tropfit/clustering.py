@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
 
@@ -200,10 +199,10 @@ def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2^-53 of their size of the exact ones (2^-1075 below the normal range),
     and their float difference has the sign of theirs, so a difference
     beyond 2^-50 of the products' sizes plus 2^-1000 has the exact sign;
-    any other turn, an overflowing one included, is decided in rational
-    arithmetic.  Only strictly convex turns stay, so no collinear point and
-    no point above the hull is a vertex, however far off the other samples
-    lie.
+    any other turn, an overflowing one included, is decided by exact
+    integer products of the four floats' integer ratios.  Only strictly
+    convex turns stay, so no collinear point and no point above the hull is
+    a vertex, however far off the other samples lie.
     """
     x_rank = (polys[..., 0] < 0).sum(axis=1)
     y_rank = (polys[..., 1] > 0).sum(axis=1)
@@ -215,7 +214,9 @@ def _lower_chain(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u, v = by * cx, bx * cy
         if abs(u - v) > 2.0**-50 * (abs(u) + abs(v)) + 2.0**-1000:  # False on inf or nan
             return u > v
-        return Fraction(by) * Fraction(cx) > Fraction(bx) * Fraction(cy)
+        # each float is n / d with d > 0, so by cx > bx cy in integers
+        (n1, d1), (n2, d2), (n3, d3), (n4, d4) = map(float.as_integer_ratio, (by, cx, bx, cy))
+        return n1 * n2 * d3 * d4 > n3 * n4 * d1 * d2
 
     order = np.lexsort((y_rank, x_rank))
     lowest = np.ones(len(order), dtype=bool)

@@ -19,7 +19,10 @@ within the configured tolerance, when the parameters of numerator and
 denominator repeat, when the run has settled into a translated cycle (the
 errors repeat while some samples' numerator and denominator values move by
 the same constant each period, and the exponents drift without bound) that
-a probe finds still going at the iteration cap, or at the cap.
+a probe finds still going at the iteration cap, or at the cap.  The
+translation need not have settled: once the errors of both parities repeat
+to rounding and the step still changes, but by a steady geometric ratio,
+the driver extrapolates the step to its limit and probes with that.
 """
 
 from __future__ import annotations

@@ -19,17 +19,19 @@ fits the other to it and repeats: ``alternating_solve`` runs it on fixed
 matrices and ``fitting.fit_rational`` with an exponent search per half-step.
 Besides exact repetition it detects translated cycles, in which the errors
 repeat while the values of both sides move by the same step each period
-and the parameters drift without bound.  Such a cycle can end, so
-``alternate`` stops on one only after a probe period far ahead, at the
-iteration cap, shows the same errors and the same step, to the step's
-uncertainty times the periods jumped.
+and the parameters drift without bound.  The step may still be settling,
+by a steady ratio each period, while the errors already repeat; it is then
+extrapolated to its limit by Aitken's delta-squared rule.  Such a cycle
+can end, so ``alternate`` stops on one only after a probe period far
+ahead, at the iteration cap, shows the same errors and the same step, to
+the step's uncertainty times the periods jumped, plus an allowance for the
+part of a settling step that the extrapolation has not caught.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -54,6 +56,17 @@ STOP_CAP = "iteration-cap"
 #: and the repeated-parameters test in ``alternate`` quantizes to AGREE_TOL.
 #: Exact float equality would be defeated by accumulated rounding drift.
 AGREE_TOL = 1e-9
+
+#: The translated-cycle test's rounding slack, a multiple of eps times the
+#: size of the values (see ``_persists`` for how 64 was measured); the
+#: largest relative change between the two parities' ratios of a converging
+#: step; and the multiple of its remaining transient that a converging
+#: probe's landing may miss by (``_translation``).  On the fixture's 7x7
+#: sweep and 300 seeded small fits, converging probes whose errors held
+#: missed by at most 0.8 transients, or by 6 and more.
+ROUNDING = 64 * np.finfo(float).eps
+RATIO_STEADY = 0.1
+TRANSIENT = 4
 
 
 def matvec(a, x) -> np.ndarray:
@@ -151,23 +164,63 @@ def _agree(a: float, b: float, slack: float = 0.0) -> bool:
 
 
 def _translation(history):
-    """The step of the translated period-two cycle that the last six
-    half-steps end in, or None.
+    """The step of the translated period-two cycle that ``history`` ends in
+    and the allowance that its probe's landing gets, or None.
 
-    ``history`` holds (values, squared error) of half-steps k-5 .. k, oldest
-    first.  With v_k the values of both sides after half-step k (those of
-    half-steps k-1 and k) and s = v_k - v_{k-2}, that is: s equals
-    v_{k-2} - v_{k-4} and is not zero (a zero step is an exact repetition),
-    both to tau = AGREE_TOL * max(1, |v_k|), and the errors at k, k-2
-    and k-4 agree (``_agree``).  Non-finite values never match.
+    ``history`` holds (v_j, d_j) of the latest half-steps j up to k, oldest
+    first: v_j, the values of both sides after half-step j (those of
+    half-steps j-1 and j, concatenated), and d_j, its squared error.  With
+    s_j = v_j - v_{j-2} and tau = AGREE_TOL * max(1, |v_k|), the cycle is
+
+    * exact, from five half-steps on: s_k equals s_{k-2} to tau and is not
+      zero (a zero step is an exact repetition), and d_k, d_{k-2} and
+      d_{k-4} agree (``_agree``).  The step is s_k, with no allowance;
+    * converging, from eight half-steps on, when s_k and s_{k-2} differ by
+      more than tau: the errors of each parity over the last three periods
+      agree to the rounding slack ROUNDING * max(1, |v_k|), and the change
+      of the step shrinks by a ratio rho_k = |s_k - s_{k-2}| /
+      |s_{k-2} - s_{k-4}| below 1 that is steady, within RATIO_STEADY *
+      rho_k of the other parity's rho_{k-1}.  A step whose change falls
+      geometrically tends to s_k + (s_k - s_{k-2}) g with g = rho_k /
+      (1 - rho_k) (Aitken's delta-squared), and that limit, which must not
+      be zero to tau, is the step.  The run has still about
+      |s_k - s_{k-2}| g to travel before it settles, so the allowance is
+      TRANSIENT times that.
+
+    Norms are maxima of absolute values.  Non-finite values never match.
     """
-    (t5, _), (t4, d4), (t3, _), (t2, d2), (t1, _), (t0, d0) = history
-    v4, v2, v0 = np.concatenate((t5, t4)), np.concatenate((t3, t2)), np.concatenate((t1, t0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau = AGREE_TOL * max(1.0, float(np.max(np.abs(v0))))
+    values, errors = zip(*history)
+    v0, v2, v4 = values[-1], values[-3], values[-5]  # vj holds v_{k-j}
+    d0 = errors[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        size = float(np.max(np.abs(v0)))
+        if not math.isfinite(size):
+            return None
+        tau = AGREE_TOL * max(1.0, size)
+        exact = _agree(d0, errors[-3]) and _agree(d0, errors[-5])
+        settled = len(history) == 8 and all(
+            max(parity) - min(parity) <= ROUNDING * max(1.0, size)
+            for parity in (errors[-1:-6:-2], errors[-2:-7:-2])
+        )
+        if not (exact or settled):
+            return None
         step = v0 - v2
-        translated = np.max(np.abs(step - (v2 - v4))) <= tau and np.max(np.abs(step)) > tau
-    return step if translated and _agree(d0, d2) and _agree(d0, d4) else None
+        delta = step - (v2 - v4)
+        change = np.max(np.abs(delta))
+        if change <= tau:
+            return (step, 0.0) if exact and np.max(np.abs(step)) > tau else None
+        if not settled:
+            return None
+        v7, v6, v5, _, v3, _, v1, _ = values
+        ratio = change / np.max(np.abs(v2 - v4 - (v4 - v6)))
+        other = np.max(np.abs(v1 - v3 - (v3 - v5))) / np.max(np.abs(v3 - v5 - (v5 - v7)))
+        if not (ratio < 1 and abs(ratio - other) <= RATIO_STEADY * ratio):
+            return None
+        gain = ratio / (1 - ratio)
+        step = step + delta * gain
+        if not np.max(np.abs(step)) > tau:
+            return None
+        return step, float(TRANSIENT * change * gain)
 
 
 def _in_range(values) -> bool:
@@ -176,7 +229,7 @@ def _in_range(values) -> bool:
         return bool(np.isfinite(np.ptp(values)))
 
 
-def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
+def _persists(history, step, allowance, fit_next, fit_same, periods: int) -> bool:
     """Whether the translated cycle that ``history`` ends in still holds
     ``periods`` periods on.
 
@@ -186,16 +239,18 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
     confirms nothing.
 
     The landing may miss by (periods + 1) * tau, with tau = AGREE_TOL *
-    max(1, |values|).  ``_translation`` accepts a step once two consecutive
-    steps agree to tau, so the step is known to about tau per period, and
-    the jump and the period after it multiply that by periods + 1.  A
-    translation that ends before then, say when a drifting value falls
-    below the others, misses by about a whole step, which is of the order
-    of the values' spread and far above this.
+    max(1, |values|), plus ``allowance``.  ``_translation`` accepts an
+    exact step once two consecutive steps agree to tau, so the step is
+    known to about tau per period, and the jump and the period after it
+    multiply that by periods + 1.  A converging step is its extrapolated
+    limit, and the run from the jumped values still carries the transient
+    that the allowance covers.  A translation that ends before then, say
+    when a drifting value falls below the others, misses by about a whole
+    step, which is of the order of the values' spread and far above this.
 
-    The errors get no such allowance: they must agree as in
-    ``_translation``, plus a slack of 64 eps * max|values| for rounding.
-    A half-step's error is a difference of values of that size, reached
+    The errors get no such allowance: they must agree as in the exact
+    test, plus a slack of ROUNDING * max|values| for rounding.  A
+    half-step's error is a difference of values of that size, reached
     through a chain of roundings whose length depends on the fit, so the
     slack is measured rather than derived.  On the bundled fixture at
     ordinates + 1e6 (N, L in 2..7), the probes that landed but whose
@@ -205,8 +260,9 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
     the slack is about 1e-14, so errors that still move by 1e-9 over the
     jump fail the probe.
     """
-    (t1, d1), (t0, d0) = history[-2], history[-1]
-    start = t0 + periods * step[len(t1):]
+    (v0, d0), d1 = history[-1], history[-2][1]
+    half = len(v0) // 2
+    start = v0[half:] + periods * step[half:]
     if not _in_range(start):
         return False
     e1, _, u1 = fit_next(start)
@@ -218,10 +274,14 @@ def _persists(history, step, fit_next, fit_same, periods: int) -> bool:
         return False
     size = float(np.max(np.abs(landed)))
     with np.errstate(over="ignore", invalid="ignore"):
-        missed = np.max(np.abs(landed - (np.concatenate((t1, t0)) + (periods + 1) * step)))
+        missed = np.max(np.abs(landed - (v0 + (periods + 1) * step)))
     tau = AGREE_TOL * max(1.0, size)
-    slack = 64 * np.finfo(float).eps * size
-    return bool(missed <= (periods + 1) * tau) and _agree(d1, e1, slack) and _agree(d0, e0, slack)
+    slack = ROUNDING * size
+    return (
+        bool(missed <= (periods + 1) * tau + allowance)
+        and _agree(d1, e1, slack)
+        and _agree(d0, e0, slack)
+    )
 
 
 def alternate(
@@ -242,26 +302,34 @@ def alternate(
     - STOP_CYCLE when the parameters of both sides, flattened and quantized
       to AGREE_TOL, repeat at the same parity.  A half-step whose
       quantized parameters leave the float range takes no part in this test;
-    - STOP_DRIFT from k = 5 on, when the values of both sides have moved by
-      the same nonzero step in each of the last two periods at repeating
-      errors (``_translation``), and a probe confirms that the translation
-      still holds at the cap (``_persists``): the run would then only
-      repeat its errors.  The probe lands within (periods + 1) * tau of the
-      translated values, because the step is known only to tau a period,
-      and its errors agree to AGREE_TOL plus a rounding slack of 64 eps
-      times the values' size.  The probe's two half-steps are not part of
-      the run or its trace.  After a failed probe at half-step k the next one
-      waits until half-step 2k, so probes cost at most two half-steps each
-      time the run doubles;
+    - STOP_DRIFT when the values of both sides move by a nonzero step each
+      period at repeating errors (``_translation``), and a probe confirms
+      that the translation still holds at the cap (``_persists``): the run
+      would then only repeat its errors.  The step is exact, from k = 5 on,
+      when the last two periods moved by the same step to tau.  It is
+      converging, from k = 8 on, when it still changes by more than tau,
+      but by a steady ratio each period, while both parities' errors repeat
+      to the rounding slack; the step is then its extrapolated limit.  The
+      probe lands within (periods + 1) * tau of the translated values,
+      because an exact step is known only to tau a period, plus, for a
+      converging step, an allowance for the transient that the run still
+      carries.  Its errors agree to AGREE_TOL plus a rounding slack of
+      ROUNDING times the values' size.  The probe's two half-steps are not
+      part of the run or its trace.  The two kinds keep separate probe
+      schedules: after a failed probe of one kind at half-step k, the next
+      of that kind waits until half-step 2k.  So probes cost at most four
+      half-steps each time the run doubles, and a failed converging probe
+      never delays an exact one;
     - STOP_CAP otherwise.
     """
     trace: list[tuple[int, float]] = []
     best = None
     seen: set[tuple] = set()
-    history: deque = deque([(target, None)], maxlen=6)
-    probe_from = 5
+    history: list = []
+    probe_from = {False: 5, True: 8}  # exact, converging
     reason = STOP_CAP
     for k in range(1, cap + 1):
+        previous = target
         if k % 2:
             delta, left, target = fit_left(target)
             fit_next, fit_same = fit_right, fit_left
@@ -275,13 +343,17 @@ def alternate(
             # necessarily the best half-step: earlier errors exceeded tol
             reason = STOP_CONVERGED
             break
-        history.append((target, delta))
-        step = _translation(history) if k >= probe_from else None
-        if step is not None:
-            if _persists(history, step, fit_next, fit_same, max(1, (cap - k) // 2)):
-                reason = STOP_DRIFT
-                break
-            probe_from = 2 * k
+        history.append((np.concatenate((previous, target)), delta))
+        del history[:-8]
+        found = _translation(history) if k >= min(probe_from.values()) else None
+        if found is not None:
+            step, allowance = found
+            converging = allowance > 0
+            if k >= probe_from[converging]:
+                if _persists(history, step, allowance, fit_next, fit_same, max(1, (cap - k) // 2)):
+                    reason = STOP_DRIFT
+                    break
+                probe_from[converging] = 2 * k
         with np.errstate(over="ignore"):
             quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / AGREE_TOL)
         if not np.isfinite(quantized).all():

@@ -21,6 +21,8 @@ split signs with the library's ``sign_masks``.  ``pair_minima_exact`` is
 the same formula in exact rationals from the raw coordinates, and
 ``lower_hull_exact`` the exact hull whose coefficients scale the rounding
 bound that the closed form and the kernel are held to.
+``lower_chain_fractions`` is the hull chain over the library's float
+differences with every turn in ``Fraction``s.
 ``canonical_monomials`` is the dict merge that ``PuiseuxPoly`` replaced
 with array operations.
 """
@@ -222,6 +224,26 @@ def lower_hull_exact(samples):
         while len(chain) >= 2:
             (xa, ya), (xb, yb) = points[chain[-2]], points[chain[-1]]
             if (xb - xa) * (yj - ya) > (yb - ya) * (xj - xa):
+                break
+            chain.pop()
+        chain.append(j)
+    return chain
+
+
+def lower_chain_fractions(samples):
+    """Reference for ``clustering._lower_chain``'s vertices: the same
+    monotone chain over the float differences it reads, x_b - x_a and
+    y_a - y_b from the first point a of each turn, with every turn decided
+    in ``Fraction``s."""
+    xs, ys = samples.xs.tolist(), samples.ys.tolist()
+    chain = []
+    for j in sorted(range(len(xs)), key=lambda i: (xs[i], ys[i])):
+        if chain and xs[chain[-1]] == xs[j]:
+            continue  # the lowest point of an abscissa comes first
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            bx, by, cx, cy = xs[b] - xs[a], ys[a] - ys[b], xs[j] - xs[a], ys[a] - ys[j]
+            if Fraction(by) * Fraction(cx) > Fraction(bx) * Fraction(cy):
                 break
             chain.pop()
         chain.append(j)

@@ -56,7 +56,7 @@ ERROR_TABLE = {(2, 2): 0.3099, (3, 3): 0.1158, (4, 4): 0.0590, (5, 3): 0.0370, (
 ALTERNATION_RECORD = {
     (2, 2): ("drift-cycle", 10, 4),
     (3, 3): ("drift-cycle", 15, 12),
-    (4, 4): ("drift-cycle", 43, 20),
+    (4, 4): ("drift-cycle", 16, 12),
     (5, 3): ("cycle", 14, 11),
     (6, 5): ("drift-cycle", 19, 12),
     (7, 5): ("converged-within-epsilon", 57, 57),
@@ -161,6 +161,17 @@ def test_an_ordinate_offset_keeps_the_stop_of_a_translated_cycle(fixture_csv):
     fit = fit_rational(shifted, FitConfig(n=2, l=2, epsilon=1e-4))
     best = next(k for k, delta in fit.trace if delta == fit.delta_star)
     assert (fit.stop_reason, len(fit.trace), best) == ALTERNATION_RECORD[2, 2]
+
+
+def test_a_translation_whose_odd_errors_still_fall_keeps_its_error(fixture_csv):
+    """In the (4, 2) fit the even errors repeat exactly at 0.0978 while the
+    odd ones still fall by about 1e-9 a period toward the best.  Its step
+    converges geometrically, but a converging translation needs both
+    parities' errors to repeat to rounding, so the run goes on to the
+    error it reaches when the step is exact."""
+    samples = load_samples(fixture_csv)
+    fit = fit_rational(samples, FitConfig(n=4, l=2, epsilon=1e-4))
+    assert fit.delta_star == pytest.approx(0.09521875, abs=1e-12)
 
 
 def test_criterion_3_first_iteration_anchor(fixture_csv):

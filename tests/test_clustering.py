@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropfit import SampleSet, agglomerate, best_approx_solve, error_polynomials, min_poly
-from tropfit.clustering import SCORE_QUANTUM, pair_minima, score_blocks
+from tropfit.clustering import SCORE_QUANTUM, _lower_chain, pair_minima, score_blocks
 from tropfit.puiseux import sign_masks
 
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     chebyshev,
     convex_sampleset,
     grid_min,
+    lower_chain_fractions,
     lower_hull_exact,
     matvec,
     merged_minimum,
@@ -525,6 +526,25 @@ _UNSORTED = [(7 * k % 13) / 6 for k in range(13)]
 )
 def test_pair_minima_equal_the_full_kernel_on_edge_cases(xs, ys):
     assert_pair_minima_match_kernel(SampleSet(xs, ys))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+@pytest.mark.parametrize("nudge", [False, True], ids=["collinear", "nearly-collinear"])
+def test_lower_chain_decides_every_turn_exactly(scale, nudge):
+    """On grid values of p x + t, rounded onto the line or moved off it by
+    one unit in the last place, the hull chain is the all-``Fraction``
+    chain over the same float differences, from turn products that
+    underflow at 1e-300 to ones that overflow at 1e300."""
+    rng = random.Random(5)
+    for p, t in [(0.5, -1.0), (-3.0, 0.25), (1 / 3, 0.1), (0.0, 7.0), (1e-5, -2.0)]:
+        xs = [scale * k / 4 for k in range(-6, 7)]
+        rng.shuffle(xs)
+        ys = [p * x + t * scale for x in xs]
+        if nudge:
+            ys = [math.nextafter(y, rng.choice([-math.inf, math.inf])) for y in ys]
+        samples = SampleSet(xs, ys)
+        chain, _ = _lower_chain(error_polynomials(samples))
+        assert chain.tolist() == lower_chain_fractions(samples)
 
 
 @st.composite

@@ -19,7 +19,14 @@ from tropfit import (
     distance,
     matvec,
 )
-from tropfit.linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE, STOP_DRIFT, alternate
+from tropfit.linalg import (
+    STOP_CAP,
+    STOP_CONVERGED,
+    STOP_CYCLE,
+    STOP_DRIFT,
+    _translation,
+    alternate,
+)
 
 import oracles
 from oracles import (
@@ -411,6 +418,19 @@ def test_alternate_translation_whose_errors_fall_over_the_jump_runs_on():
     assert len(calls) == 60 + 2 * 4  # probes at k = 5, 10, 20 and 40
 
 
+def test_alternate_translation_whose_step_converges_stops_at_its_first_converging_probe():
+    # values fall by 0.1 a half-step plus a residue that shrinks by about
+    # 0.45 a half-step: the step is still 1.5e-4 from its limit at k = 9,
+    # and only settles to tau at k = 26, where the exact test alone stops
+    half = lambda target: (1.0, target, target - 0.1 - 0.05 * math.exp(8 * (target[0] - 1)))
+    calls = []
+    step = counted(half, calls)
+    _, _, _, trace, reason = alternate(step, step, np.ones(1), np.ones(1), 0.0, 200)
+    assert reason == STOP_DRIFT
+    assert len(trace) == 9
+    assert len(calls) == 9 + 2  # one probe
+
+
 def test_alternate_probe_that_lands_beyond_the_float_range_confirms_nothing():
     # the left side's values leave the float range below a target of -19.5,
     # which the run never reaches (its last left target is -18) but every
@@ -460,3 +480,66 @@ def test_alternate_error_tolerance_ignores_an_offset_of_the_values():
     _, _, _, trace, reason = alternate(half, half, np.zeros(1), np.full(1, 1e6), 0.0, 30)
     assert reason == STOP_CAP
     assert len(trace) == 30
+
+
+# --- translated-cycle test on synthetic histories --------------------------------
+
+
+def history_of(sides, errors):
+    """``_translation``'s history from the values of each half-step's side,
+    the start first: entry j concatenates the sides of half-steps j-1 and j
+    and carries errors[j-1]."""
+    return [(np.concatenate((a, b)), d) for a, b, d in zip(sides, sides[1:], errors)]
+
+
+def settling_sides(rates, half_steps=8):
+    """Two values per side that fall by 0.1 a half-step plus a residue
+    starting at (0.05, 0.1) and scaled by rates[j] after half-step j."""
+    residue, sides = 0.05, []
+    for j in range(half_steps + 1):
+        sides.append(np.array([1.0, -2.0]) - 0.1 * j + residue * np.array([1.0, 2.0]))
+        residue *= rates[j]
+    return sides
+
+
+#: Repeating errors, one value per parity.
+REPEATING = [1.0 if j % 2 else 0.5 for j in range(1, 9)]
+
+
+def test_translation_extrapolates_a_geometric_step_to_its_limit():
+    # the residue shrinks by 0.6 a half-step, so the step's change shrinks by
+    # rho = 0.36 a period at either parity, and the step tends to -0.2
+    history = history_of(settling_sides([0.6] * 9), REPEATING)
+    step, allowance = _translation(history)
+    np.testing.assert_allclose(step, -0.2, rtol=0, atol=1e-14)
+    (v0, _), (v2, _), (v4, _) = history[-1], history[-3], history[-5]
+    change = np.max(np.abs(v0 - 2 * v2 + v4))
+    assert change > 1e-3  # far from the exact test's tau
+    assert allowance == pytest.approx(4 * change * 0.36 / 0.64, rel=1e-12)
+
+
+def test_translation_with_an_unsteady_ratio_is_none():
+    # the residue's rate drops from 0.6 to 0.3 after half-step 6: the latest
+    # ratio is 0.30 against 0.36 at the other parity, more than 10 % apart
+    assert _translation(history_of(settling_sides([0.6] * 6 + [0.3] * 3), REPEATING)) is None
+
+
+def test_translation_whose_errors_of_one_parity_still_fall_is_none():
+    # the odd errors fall by 1e-10 a period, within AGREE_TOL but far above
+    # the rounding slack at values near 1
+    errors = [1.0 - 1e-10 * (j // 2) if j % 2 else 0.5 for j in range(1, 9)]
+    assert _translation(history_of(settling_sides([0.6] * 9), errors)) is None
+    assert _translation(history_of(settling_sides([0.6] * 9), REPEATING)) is not None
+
+
+@pytest.mark.parametrize("half_steps", [5, 6, 7, 8])
+def test_translation_of_an_exact_step_is_the_latest_step(half_steps):
+    # a constant step is found from five half-steps on as it always was: the
+    # latest step itself, bit for bit, with no allowance, and the other
+    # parity's errors play no part
+    sides = [np.array([1.0, -2.0]) - 0.1 * j for j in range(half_steps + 1)]
+    errors = [1.0 - 1e-6 * j if (half_steps - j) % 2 else 0.5 for j in range(1, half_steps + 1)]
+    history = history_of(sides, errors)
+    step, allowance = _translation(history)
+    assert np.array_equal(step, history[-1][0] - history[-3][0])
+    assert allowance == 0.0
