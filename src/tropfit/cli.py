@@ -85,10 +85,8 @@ def _load_report(path: str) -> FitReport:
 
 
 def _emit_curve(fn, points) -> None:
-    rows = [(x, fn(x)) for x in points]  # evaluate fully before printing
-    print("x,value")
-    for x, value in rows:
-        print(f"{x!r},{value!r}")
+    values = fn(points)  # evaluate fully before printing
+    sys.stdout.write("x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(points, values)))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

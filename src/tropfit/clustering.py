@@ -85,6 +85,18 @@ class SampleSet:
             object.__setattr__(self, name, values)
 
     @classmethod
+    def _of_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "SampleSet":
+        """A set over float64 arrays the program made and nothing writes,
+        such as a half-step's target: no copy and no check.  ``ys`` is made
+        read-only; ``error_polynomials`` still rejects a non-finite entry,
+        whose differences are not finite."""
+        samples = object.__new__(cls)
+        ys.flags.writeable = False
+        object.__setattr__(samples, "xs", xs)
+        object.__setattr__(samples, "ys", ys)
+        return samples
+
+    @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "SampleSet":
         pts = list(points)
         return cls((x for x, _ in pts), (y for _, y in pts))
@@ -260,7 +272,13 @@ def pair_minima(polys: np.ndarray) -> np.ndarray:
     another.  The cost is O(M^2) array work plus the hull's O(M) turn tests,
     on any data.
     """
-    m = _check_polys(polys)
+    _check_polys(polys)
+    return _pair_minima(polys)
+
+
+def _pair_minima(polys: np.ndarray) -> np.ndarray:
+    """``pair_minima`` of an array that ``_check_polys`` has accepted."""
+    m = len(polys)
     exponents, coefficients = polys[..., 0], polys[..., 1]
     zero = np.where(np.logical_or(*sign_masks(exponents)), -np.inf, coefficients).max(axis=1)
 
@@ -323,7 +341,7 @@ def agglomerate(polys: np.ndarray, n: int) -> ExponentResult:
     check_count(n, "group count", m)
 
     with np.errstate(over="ignore"):
-        minima = pair_minima(polys)
+        minima = _pair_minima(polys)
         keys = np.minimum(np.rint(minima / SCORE_QUANTUM), _LIVE_MAX)
     keys[np.arange(m)[:, None] >= np.arange(m)] = _DEAD
 

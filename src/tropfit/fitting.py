@@ -22,7 +22,13 @@ the same constant each period, and the exponents drift without bound) that
 a probe finds still going at the iteration cap, or at the cap.  The
 translation need not have settled: once the errors of both parities repeat
 to rounding and the step still changes, but by a steady geometric ratio,
-the driver extrapolates the step to its limit and probes with that.
+the driver extrapolates the step to its limit and probes with that.  A run
+whose values close in on a limit by a steady ratio while the errors fall
+jumps to that limit when a period run from there lowers the best error, so
+a fit that converges only linearly reaches the tolerance in fewer
+half-steps.  The half-steps read their targets, arrays the driver made,
+without copying or checking them; the error polynomials still reject a
+target whose differences leave the float range.
 """
 
 from __future__ import annotations
@@ -180,12 +186,12 @@ def fit_rational(samples: SampleSet, config: FitConfig) -> RationalFit:
         return matvec(np.multiply.outer(xs, exponents), coefficients)
 
     def fit_numerator(target: np.ndarray):
-        fit = fit_polynomial(SampleSet(xs, target), config.n)
+        fit = fit_polynomial(SampleSet._of_arrays(xs, target), config.n)
         p, t = fit.exponent_result.exponents, fit.coefficients
         return fit.delta_star, (p, t), values(p, t) - ys
 
     def fit_denominator(target: np.ndarray):
-        fit = fit_polynomial(SampleSet(xs, target), config.l)
+        fit = fit_polynomial(SampleSet._of_arrays(xs, target), config.l)
         q, s = fit.exponent_result.exponents, fit.coefficients
         return fit.delta_star, (q, s), ys + values(q, s)
 

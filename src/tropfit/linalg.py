@@ -25,7 +25,11 @@ extrapolated to its limit by Aitken's delta-squared rule.  Such a cycle
 can end, so ``alternate`` stops on one only after a probe period far
 ahead, at the iteration cap, shows the same errors and the same step, to
 the step's uncertainty times the periods jumped, plus an allowance for the
-part of a settling step that the extrapolation has not caught.
+part of a settling step that the extrapolation has not caught.  The same
+delta-squared rule speeds up a run that closes in on a fixed point by a
+steady ratio while its errors fall: ``alternate`` moves the values to their
+limit, runs one period from there and keeps it only if it lowers the best
+error.
 """
 
 from __future__ import annotations
@@ -178,12 +182,10 @@ def _translation(history):
     * converging, from eight half-steps on, when s_k and s_{k-2} differ by
       more than tau: the errors of each parity over the last three periods
       agree to the rounding slack ROUNDING * max(1, |v_k|), and the change
-      of the step shrinks by a ratio rho_k = |s_k - s_{k-2}| /
-      |s_{k-2} - s_{k-4}| below 1 that is steady, within RATIO_STEADY *
-      rho_k of the other parity's rho_{k-1}.  A step whose change falls
-      geometrically tends to s_k + (s_k - s_{k-2}) g with g = rho_k /
-      (1 - rho_k) (Aitken's delta-squared), and that limit, which must not
-      be zero to tau, is the step.  The run has still about
+      of the step, s_j - s_{j-2}, shrinks by a steady ratio rho < 1 at both
+      parities (``_gain``).  The step then tends to s_k + (s_k - s_{k-2}) g
+      with g = rho / (1 - rho) (Aitken's delta-squared), and that limit,
+      which must not be zero to tau, is the step.  The run has still about
       |s_k - s_{k-2}| g to travel before it settles, so the allowance is
       TRANSIENT times that.
 
@@ -211,22 +213,82 @@ def _translation(history):
             return (step, 0.0) if exact and np.max(np.abs(step)) > tau else None
         if not settled:
             return None
-        v7, v6, v5, _, v3, _, v1, _ = values
-        ratio = change / np.max(np.abs(v2 - v4 - (v4 - v6)))
-        other = np.max(np.abs(v1 - v3 - (v3 - v5))) / np.max(np.abs(v3 - v5 - (v5 - v7)))
-        if not (ratio < 1 and abs(ratio - other) <= RATIO_STEADY * ratio):
+        steps = _steps(values)
+        gain = _gain([np.max(np.abs(a - b)) for a, b in zip(steps[2:], steps)], 2)
+        if gain is None:
             return None
-        gain = ratio / (1 - ratio)
         step = step + delta * gain
         if not np.max(np.abs(step)) > tau:
             return None
         return step, float(TRANSIENT * change * gain)
 
 
+def _steps(values) -> list:
+    """s_j = v_j - v_{j-2} for every j that ``values`` (v_j, oldest first)
+    allows, oldest first."""
+    return [a - b for a, b in zip(values[2:], values)]
+
+
+def _gain(sizes, count: int):
+    """Aitken's factor rho / (1 - rho) of differences whose sizes shrink
+    by a steady ratio each period, or None.
+
+    ``sizes`` holds the differences' sizes at consecutive half-steps, the
+    latest last.  rho = sizes[-1] / sizes[-3] is the latest period's ratio;
+    it must be below 1, and each of the ``count`` - 1 ratios before it
+    (sizes[-2] / sizes[-4], and so on one half-step back each) within
+    RATIO_STEADY * rho of it.  Differences that keep shrinking by rho a
+    period sum to rho / (1 - rho) times the latest one.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = [sizes[-1 - j] / sizes[-3 - j] for j in range(count)]
+    rho = ratios[0]
+    if not (rho < 1 and all(abs(r - rho) <= RATIO_STEADY * rho for r in ratios[1:])):
+        return None
+    return rho / (1 - rho)
+
+
+def _limit(history):
+    """Aitken's limit of the latest side's values when eight half-steps of
+    ``history`` (as in ``_translation``) close in on a fixed point, or None.
+
+    The run closes in when both parities' errors fell strictly over their
+    last four entries, and the step s_j = v_j - v_{j-2} shrinks by a steady
+    ratio rho < 1: rho = |s_k| / |s_{k-2}|, and the ratios one and two
+    half-steps back within RATIO_STEADY * rho of it (``_gain``).  The values
+    then tend to v_k + s_k rho / (1 - rho); the latest side's half of that
+    is returned.
+    """
+    values, errors = zip(*history)
+    if len(history) < 8 or not all(a > b for a, b in zip(errors, errors[2:])):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _steps(values)
+        gain = _gain([np.max(np.abs(s)) for s in steps], 3)
+        if gain is None:
+            return None
+        half = len(values[-1]) // 2
+        return values[-1][half:] + steps[-1][half:] * gain
+
+
 def _in_range(values) -> bool:
     """Whether ``values`` and their differences are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.isfinite(np.ptp(values)))
+
+
+def _period(start, fit_next, fit_same):
+    """The two half-steps, each (squared error, parameters, values), of the
+    period run from the values ``start``; None when ``start``, the first
+    half-step's values or the two half-steps' values together leave the
+    float range."""
+    if not _in_range(start):
+        return None
+    first = fit_next(start)
+    if not _in_range(first[2]):
+        return None
+    second = fit_same(first[2])
+    return (first, second) if _in_range(np.concatenate((first[2], second[2]))) else None
 
 
 def _persists(history, step, allowance, fit_next, fit_same, periods: int) -> bool:
@@ -262,16 +324,11 @@ def _persists(history, step, allowance, fit_next, fit_same, periods: int) -> boo
     """
     (v0, d0), d1 = history[-1], history[-2][1]
     half = len(v0) // 2
-    start = v0[half:] + periods * step[half:]
-    if not _in_range(start):
+    period = _period(v0[half:] + periods * step[half:], fit_next, fit_same)
+    if period is None:
         return False
-    e1, _, u1 = fit_next(start)
-    if not _in_range(u1):
-        return False
-    e0, _, u0 = fit_same(u1)
+    (e1, _, u1), (e0, _, u0) = period
     landed = np.concatenate((u1, u0))
-    if not _in_range(landed):
-        return False
     size = float(np.max(np.abs(landed)))
     with np.errstate(over="ignore", invalid="ignore"):
         missed = np.max(np.abs(landed - (v0 + (periods + 1) * step)))
@@ -321,31 +378,53 @@ def alternate(
       half-steps each time the run doubles, and a failed converging probe
       never delays an exact one;
     - STOP_CAP otherwise.
+
+    A run that closes in on a fixed point by a steady ratio, with falling
+    errors (``_limit``), jumps there: from k = 8 on, the latest side's
+    values move to their extrapolated limit and one period runs from them
+    (``_period``).  The period is kept when its landing, the second
+    half-step, has an error below the best so far and no higher than the
+    first half-step's; its half-steps then become k + 1 and k + 2 of the
+    run, and the history of the translation tests restarts from the jumped
+    values.  The first half-step fits the extrapolated values, which no
+    parameters of the other side produce, so it is never the best and
+    never converged; the condition on its error keeps the best error the
+    trace's least.  A discarded period is not part of the trace.  When only
+    that condition failed, the next jump may come one period on; otherwise
+    it waits until half-step 2k.
     """
     trace: list[tuple[int, float]] = []
     best = None
     seen: set[tuple] = set()
     history: list = []
     probe_from = {False: 5, True: 8}  # exact, converging
+    jump_from = 8
+    landing: tuple = ()  # the adopted period's half-steps not yet taken
     reason = STOP_CAP
     for k in range(1, cap + 1):
         previous = target
-        if k % 2:
-            delta, left, target = fit_left(target)
-            fit_next, fit_same = fit_right, fit_left
+        fit_same, fit_next = (fit_left, fit_right) if k % 2 else (fit_right, fit_left)
+        jumped = len(landing) == 2  # fitted to extrapolated values
+        if landing:
+            (delta, params, target), *landing = landing
         else:
-            delta, right, target = fit_right(target)
-            fit_next, fit_same = fit_left, fit_right
+            delta, params, target = fit_same(target)
+        if k % 2:
+            left = params
+        else:
+            right = params
         trace.append((k, delta))
-        if best is None or delta < best[0]:
+        if not jumped and (best is None or delta < best[0]):
             best = (delta, left, right)
-        if delta <= tol:
+        if not jumped and delta <= tol:
             # necessarily the best half-step: earlier errors exceeded tol
             reason = STOP_CONVERGED
             break
         history.append((np.concatenate((previous, target)), delta))
         del history[:-8]
-        found = _translation(history) if k >= min(probe_from.values()) else None
+        found = None
+        if len(history) >= 5 and k >= min(probe_from.values()):
+            found = _translation(history)
         if found is not None:
             step, allowance = found
             converging = allowance > 0
@@ -356,13 +435,23 @@ def alternate(
                 probe_from[converging] = 2 * k
         with np.errstate(over="ignore"):
             quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / AGREE_TOL)
-        if not np.isfinite(quantized).all():
-            continue  # a key beyond the float range would match unequal parameters
-        key = (*quantized.tolist(), k % 2)
-        if key in seen:
-            reason = STOP_CYCLE
-            break
-        seen.add(key)
+        # a key beyond the float range would match unequal parameters
+        if np.isfinite(quantized).all():
+            key = (*quantized.tolist(), k % 2)
+            if key in seen:
+                reason = STOP_CYCLE
+                break
+            seen.add(key)
+        start = _limit(history) if k >= jump_from and k + 2 <= cap else None
+        if start is not None:
+            period = _period(start, fit_next, fit_same)
+            if period is None or not period[1][0] < best[0]:
+                jump_from = 2 * k
+            elif period[1][0] > period[0][0]:
+                jump_from = k + 2
+            else:
+                landing, target = period, start
+                history.clear()
     return (*best, tuple(trace), reason)
 
 

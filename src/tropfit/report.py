@@ -19,11 +19,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .clustering import SampleSet
 from .fitting import PolyFit, RationalFit
-from .puiseux import PuiseuxPoly, eval_poly
+from .puiseux import PuiseuxPoly
 
 MODE_MAXPLUS = "maxplus"
 MODE_MAXTIMES = "maxtimes"
@@ -275,36 +277,60 @@ def report_from_rational_fit(fit: RationalFit, mode: str) -> FitReport:
     )
 
 
-def evaluator(report: FitReport) -> Callable[[float], float]:
-    """Turn a report into the fitted function on its native domain.
+def evaluator(report: FitReport) -> Callable[[Sequence[float]], list[float]]:
+    """Turn a report into the fitted function on its native domain, which
+    maps a sequence of points to their values in one pass.
 
     Max-times reports are evaluated in the log domain: coefficients and the
-    argument are logged, and the max-plus value is mapped back with exp.
-    A value that overflows the float range raises ValueError.
+    arguments are logged, and the max-plus values are mapped back with exp,
+    one point at a time.  Each polynomial value is the first largest of the
+    terms p_j * t + theta_j over the canonical monomials, formed by the same
+    float operations as ``eval_poly``, so the values equal its per-point
+    ones bit for bit.  A max-times point that is not positive, a point
+    whose argument is not finite, and a value that overflows the float
+    range raise ValueError; of several, the first point's raises, with the
+    message a point-by-point evaluation would give.
     """
     maxtimes = report.mode == MODE_MAXTIMES
 
-    def poly(exponents, coefficients) -> PuiseuxPoly:
+    def monomials(exponents, coefficients) -> tuple[np.ndarray, np.ndarray]:
         if maxtimes:
             coefficients = map(math.log, coefficients)
-        return PuiseuxPoly(zip(exponents, coefficients))
+        poly = PuiseuxPoly(zip(exponents, coefficients))
+        return np.array(poly.exponents), np.array(poly.coefficients)
 
-    num = poly(report.numerator_exponents, report.numerator_coefficients)
+    num = monomials(report.numerator_exponents, report.numerator_coefficients)
     den = None
     if report.is_rational:
-        den = poly(report.denominator_exponents, report.denominator_coefficients)
+        den = monomials(report.denominator_exponents, report.denominator_coefficients)
 
-    def apply(x: float) -> float:
-        t = x
-        if maxtimes:
-            if x <= 0:
-                raise ValueError("max-times arguments must be positive")
-            t = math.log(x)
-        value = eval_poly(num, t)
-        if den is not None:
-            value -= eval_poly(den, t)
-        if not math.isfinite(value):
-            raise ValueError(f"the fitted value at {x!r} overflows the float range")
-        return _map_mode(value, report.mode)
+    def values(ts: list[float], exponents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+        terms = np.multiply.outer(ts, exponents) + coefficients
+        return terms[np.arange(len(ts)), terms.argmax(axis=1)]
+
+    def apply(points: Sequence[float]) -> list[float]:
+        ts: list[float] = []
+        problem = None  # the first point that cannot be evaluated stops the pass
+        for x in points:
+            if maxtimes and x <= 0:
+                problem = "max-times arguments must be positive"
+                break
+            t = math.log(x) if maxtimes else x
+            if not math.isfinite(t):
+                problem = f"polynomials are evaluated at finite x, got {t!r}"
+                break
+            ts.append(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = values(ts, *num)
+            if den is not None:
+                value = value - values(ts, *den)
+        out = []
+        for x, v in zip(points, value.tolist()):
+            if not math.isfinite(v):
+                raise ValueError(f"the fitted value at {x!r} overflows the float range")
+            out.append(_map_mode(v, report.mode))
+        if problem is not None:
+            raise ValueError(problem)
+        return out
 
     return apply

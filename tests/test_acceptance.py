@@ -59,7 +59,7 @@ ALTERNATION_RECORD = {
     (4, 4): ("drift-cycle", 16, 12),
     (5, 3): ("cycle", 14, 11),
     (6, 5): ("drift-cycle", 19, 12),
-    (7, 5): ("converged-within-epsilon", 57, 57),
+    (7, 5): ("converged-within-epsilon", 47, 47),
 }
 
 

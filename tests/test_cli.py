@@ -7,6 +7,7 @@ import math
 import pytest
 
 from tropfit.cli import _build_parser, fixture_curve, fixture_rows, main
+from tropfit.puiseux import PuiseuxPoly, PuiseuxRational, eval_rational
 from tropfit.report import FitReport, load_samples
 
 
@@ -264,6 +265,20 @@ def test_fit_rejects_differences_beyond_float_range(capsys, tmp_path, rows):
     assert code == 2 and "finite" in err
 
 
+def test_rational_half_step_whose_target_leaves_the_float_range_exits_2(capsys, tmp_path):
+    """Half-steps take their targets unchecked; a target that is not finite
+    (here NaN, from fitted values near 1e307) still exits 2, through the
+    error polynomials' check of their differences."""
+    xs = [-2.6395169362336617, -0.20249742181975305, 0.6947876478375408,
+          0.7640466540657358, 0.7930832117766924]
+    ys = [1.0, 1e307, 0.0, 1.0, 1e307]
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    code, out, err = run(capsys, ["fit", "rational", str(data), "--n", "4", "--l", "1"])
+    assert code == 2 and out == ""
+    assert err == "tropfit: error: sample coordinate differences must be finite\n"
+
+
 @pytest.mark.parametrize(
     "args", [["poly", "--n", "2"], ["rational", "--n", "2", "--l", "2"]], ids=["poly", "rational"]
 )
@@ -385,6 +400,50 @@ def reference_n2l2_report() -> FitReport:
     )
 
 
+@pytest.mark.parametrize(
+    "rows, fit_args, grid",
+    [
+        *(
+            (None, ["--n", str(n), "--l", str(l)], ["--from", "0", "--to", "2", "--steps", "201"])
+            for n, l in ((2, 2), (3, 3), (4, 4), (5, 3), (6, 5), (7, 5))
+        ),
+        ("x,y\n1,2\n2,1\n4,3\n8,2\n16,5\n", ["--n", "2", "--l", "2", "--mode", "maxtimes"],
+         ["--from", "1", "--to", "16", "--steps", "31"]),
+    ],
+)
+def test_sample_equals_the_rational_evaluated_point_by_point(
+    capsys, fixture_csv, tmp_path, rows, fit_args, grid
+):
+    """``sample`` evaluates all its points in one pass, to the same floats
+    as ``eval_rational`` at each point (in max-times mode, exp of it at the
+    logged point, with the logged coefficients)."""
+    data = fixture_csv
+    if rows is not None:
+        data = tmp_path / "times.csv"
+        data.write_text(rows)
+    code, out, _ = run(capsys, ["fit", "rational", str(data), *fit_args])
+    assert code == 0
+    report = FitReport.from_json(out)
+    path = tmp_path / "fit.json"
+    path.write_text(out)
+    code, curve, _ = run(capsys, ["sample", str(path), *grid])
+    assert code == 0
+
+    maxtimes = report.mode == "maxtimes"
+    log = math.log if maxtimes else (lambda v: v)
+    rational = PuiseuxRational(
+        PuiseuxPoly(zip(report.numerator_exponents, map(log, report.numerator_coefficients))),
+        PuiseuxPoly(zip(report.denominator_exponents, map(log, report.denominator_coefficients))),
+    )
+    start, stop, steps = float(grid[1]), float(grid[3]), int(grid[5])
+    step = (stop - start) / (steps - 1)
+    expected = ["x,value"]
+    for x in (start + i * step for i in range(steps)):
+        value = eval_rational(rational, log(x))
+        expected.append(f"{x!r},{math.exp(value) if maxtimes else value!r}")
+    assert curve.splitlines() == expected
+
+
 def test_sample_reference_fit_at_zero(capsys, tmp_path):
     path = tmp_path / "report.json"
     path.write_text(reference_n2l2_report().to_json())
@@ -487,8 +546,9 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys, tmp_path, args
         (["eval", "0", "-inf"], "finite"),
         (["sample", "--from", "-inf", "--to", "0", "--steps", "3"],
          "--from must be a finite number"),
+        (["eval", "inf", "1e308"], "finite"),  # the first point's error wins
     ],
-    ids=["eval-inf", "eval-nan", "eval-minus-inf", "sample-from-minus-inf"],
+    ids=["eval-inf", "eval-nan", "eval-minus-inf", "sample-from-minus-inf", "eval-inf-first"],
 )
 def test_nonfinite_arguments_exit_2(capsys, tmp_path, args, message):
     path = tmp_path / "r.json"
@@ -505,8 +565,9 @@ def test_nonfinite_arguments_exit_2(capsys, tmp_path, args, message):
         (["eval", "0", "-1e308"], "overflows"),
         (["sample", "--from", "-1e308", "--to", "1e308", "--steps", "3"],
          "--from/--to range overflows"),
+        (["eval", "1e308", "inf"], "the fitted value at 1e+308 overflows"),
     ],
-    ids=["eval-large", "eval-large-negative", "sample-range"],
+    ids=["eval-large", "eval-large-negative", "sample-range", "eval-large-first"],
 )
 def test_maxplus_overflow_exits_2(capsys, fixture_csv, tmp_path, args, message):
     path = tmp_path / "fit.json"

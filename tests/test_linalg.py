@@ -482,6 +482,98 @@ def test_alternate_error_tolerance_ignores_an_offset_of_the_values():
     assert len(trace) == 30
 
 
+# --- jumps to the limit of a converging run -----------------------------------------
+
+
+def halving(error):
+    """Half-step stub: error(target), the target as parameters and half the
+    target as values, so the run closes in on 0 by a ratio of 1/4 a period."""
+    return lambda target: (error(target), target, target / 2)
+
+
+def size(target):
+    return float(np.max(np.abs(target)))
+
+
+def test_alternate_jumps_to_the_limit_of_a_geometric_run():
+    # without the jump the error, the target's size 2^(1 - k), reaches 1e-6
+    # at k = 21; at k = 8 the values extrapolate to 0, where one period
+    # lands with error 0, so the run stops at k = 10 without a discarded
+    # period
+    calls = []
+    half = counted(halving(size), calls)
+    delta, left, right, trace, reason = alternate(half, half, np.ones(1), np.ones(1), 1e-6, 100)
+    assert reason == STOP_CONVERGED
+    assert [k for k, _ in trace] == list(range(1, 11))
+    assert len(calls) == 10
+    assert [d for _, d in trace[-3:]] == [2.0**-7, 0.0, 0.0]
+    # the best is the landing, k = 10; its left parameters come from k = 9
+    assert (delta, left.tolist(), right.tolist()) == (0.0, [0.0], [0.0])
+
+
+def test_alternate_jump_is_taken_only_within_the_cap():
+    # the same run capped at 9 half-steps: a jump at k = 8 would need k = 10
+    calls = []
+    half = counted(halving(size), calls)
+    _, _, _, trace, reason = alternate(half, half, np.ones(1), np.ones(1), 1e-6, 9)
+    assert reason == STOP_CAP
+    assert len(trace) == len(calls) == 9
+
+
+def test_alternate_makes_no_jump_at_an_unsteady_ratio():
+    # every third half-step shrinks the values by 0.2 instead of 0.5, so the
+    # ratios of consecutive periods differ by far more than RATIO_STEADY
+    calls = []
+    half = counted(lambda t: (size(t), t, t * (0.5 if len(calls) % 3 else 0.2)), calls)
+    _, _, _, trace, reason = alternate(half, half, np.ones(1), np.ones(1), 0.0, 20)
+    assert reason == STOP_CAP
+    assert len(trace) == len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        lambda t: 1.0,  # constant errors
+        lambda t: 1.0 if t[0] < 2.0**-4 else size(t),  # they stop falling from k = 5
+    ],
+)
+def test_alternate_makes_no_jump_while_errors_do_not_fall(error):
+    calls = []
+    half = counted(halving(error), calls)
+    _, _, _, trace, reason = alternate(half, half, np.ones(1), np.ones(1), 0.0, 20)
+    assert reason == STOP_CAP
+    assert len(trace) == len(calls) == 20
+
+
+def test_alternate_discards_a_worse_landing_and_waits_until_twice_the_half_step():
+    # the error jumps to 5 near the limit 0: the periods run from there at
+    # k = 8 and k = 16 land worse than the best, so neither enters the trace
+    calls = []
+    half = counted(halving(lambda t: size(t) + 5.0 * (size(t) < 1e-9)), calls)
+    _, _, _, trace, reason = alternate(half, half, np.ones(1), np.ones(1), 0.0, 20)
+    assert reason == STOP_CAP
+    assert trace == tuple((k, 2.0 ** (1 - k)) for k in range(1, 21))
+    probes = [i for i, target in enumerate(calls) if size(target) < 1e-9]
+    assert probes == [8, 9, 18, 19]  # after half-steps 8 and 16
+    assert len(calls) == 24
+
+
+def test_alternate_jump_whose_first_half_step_is_better_waits_one_period():
+    # the period from the limit lands at 0.5, below the best, but its first
+    # half-step fits the extrapolated values to 0.25: taking the period
+    # would leave a trace entry below the best, so the run goes on and
+    # tries again one period later
+    calls = []
+    jumps = iter([0.25, 0.5, 0.25, 0.5])
+    error = lambda t: next(jumps) if size(t) < 1e-9 else 1.0 + size(t)
+    half = counted(halving(error), calls)
+    _, _, _, trace, reason = alternate(half, half, np.ones(1), np.ones(1), 0.0, 12)
+    assert reason == STOP_CAP
+    assert [k for k, _ in trace] == list(range(1, 13))
+    assert min(d for _, d in trace) > 1.0
+    assert [i for i, target in enumerate(calls) if size(target) < 1e-9] == [8, 9, 12, 13]
+
+
 # --- translated-cycle test on synthetic histories --------------------------------
 
 
