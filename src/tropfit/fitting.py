@@ -19,16 +19,15 @@ within the configured tolerance, when the parameters of numerator and
 denominator repeat, when the run has settled into a translated cycle (the
 errors repeat while some samples' numerator and denominator values move by
 the same constant each period, and the exponents drift without bound) that
-a probe finds still going at the iteration cap, or at the cap.  The
-translation need not have settled: once the errors of both parities repeat
-to rounding and the step still changes, but by a steady geometric ratio,
-the driver extrapolates the step to its limit and probes with that.  A run
-whose values close in on a limit by a steady ratio while the errors fall
-jumps to that limit when a period run from there lowers the best error, so
-a fit that converges only linearly reaches the tolerance in fewer
-half-steps.  The half-steps read their targets, arrays the driver made,
-without copying or checking them; the error polynomials still reject a
-target whose differences leave the float range.
+a probe finds still going at the iteration cap, or at the cap.  A run
+whose values close in on a limit jumps there when a period run from the
+limit lowers the best error, so a fit that converges only linearly reaches
+the tolerance in fewer half-steps.  Both the translations and the jumps
+come from one Aitken extrapolation, ``linalg._extrapolate``.  The
+half-steps read their targets, arrays the driver made, without copying or
+checking them; the error polynomials still reject a target whose
+differences leave the float range, and the coefficient recovery rejects
+coefficients that leave it.
 """
 
 from __future__ import annotations
@@ -108,10 +107,17 @@ def _poly_fit(samples: SampleSet, result: ExponentResult) -> PolyFit:
 
     The search's delta_star is kept rather than the residuation's delta: the
     two agree only to rounding, and a last-bit change in delta_star would
-    move the alternation in fit_rational.
+    move the alternation in fit_rational.  Coefficients that leave the
+    float range raise ValueError.
     """
-    vandermonde = np.multiply.outer(samples.xs, result.exponents)
-    _, xhat = residuate(vandermonde, samples.ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vandermonde = np.multiply.outer(samples.xs, result.exponents)
+        _, xhat = residuate(vandermonde, samples.ys)
+    if not np.isfinite(xhat).all():
+        raise ValueError(
+            "coefficients leave the float range: the ordinates, or the fitted "
+            "exponents times the abscissae, are too large"
+        )
     return PolyFit(result.delta_star, result, tuple((result.delta_star / 2 + xhat).tolist()))
 
 

@@ -17,19 +17,12 @@ attains it.  ``residuate`` computes both for fitting and for the solvers.
 Two-sided equations are handled by ``alternate``, which fixes one side,
 fits the other to it and repeats: ``alternating_solve`` runs it on fixed
 matrices and ``fitting.fit_rational`` with an exponent search per half-step.
-Besides exact repetition it detects translated cycles, in which the errors
-repeat while the values of both sides move by the same step each period
-and the parameters drift without bound.  The step may still be settling,
-by a steady ratio each period, while the errors already repeat; it is then
-extrapolated to its limit by Aitken's delta-squared rule.  Such a cycle
-can end, so ``alternate`` stops on one only after a probe period far
-ahead, at the iteration cap, shows the same errors and the same step, to
-the step's uncertainty times the periods jumped, plus an allowance for the
-part of a settling step that the extrapolation has not caught.  The same
-delta-squared rule speeds up a run that closes in on a fixed point by a
-steady ratio while its errors fall: ``alternate`` moves the values to their
-limit, runs one period from there and keeps it only if it lowers the best
-error.
+Besides exact repetition it stops on translated cycles, in which the
+errors repeat while the values of both sides move by the same step each
+period and the parameters drift without bound, once a probe period at the
+iteration cap confirms them; and it jumps a run that closes in on a fixed
+point to its limit.  Both rest on one Aitken delta-squared extrapolation of
+the values, ``_extrapolate``, whose docstring states the rule.
 """
 
 from __future__ import annotations
@@ -63,9 +56,9 @@ AGREE_TOL = 1e-9
 
 #: The translated-cycle test's rounding slack, a multiple of eps times the
 #: size of the values (see ``_persists`` for how 64 was measured); the
-#: largest relative change between the two parities' ratios of a converging
-#: step; and the multiple of its remaining transient that a converging
-#: probe's landing may miss by (``_translation``).  On the fixture's 7x7
+#: largest relative change between consecutive ratios that ``_gain`` calls
+#: steady; and the multiple of its remaining transient that a converging
+#: probe's landing may miss by (``_extrapolate``).  On the fixture's 7x7
 #: sweep and 300 seeded small fits, converging probes whose errors held
 #: missed by at most 0.8 transients, or by 6 and more.
 ROUNDING = 64 * np.finfo(float).eps
@@ -167,66 +160,75 @@ def _agree(a: float, b: float, slack: float = 0.0) -> bool:
     return abs(a - b) <= AGREE_TOL * max(1.0, abs(a)) + slack
 
 
-def _translation(history):
-    """The step of the translated period-two cycle that ``history`` ends in
-    and the allowance that its probe's landing gets, or None.
+def _extrapolate(history):
+    """Aitken's delta-squared extrapolation of the run that ``history`` ends
+    in, tagged by kind, or None: ("exact", step, 0.0) or ("converging",
+    step, allowance) for a translated period-two cycle, and ("jump",
+    values, 0.0) for a run that closes in on a fixed point.
 
-    ``history`` holds (v_j, d_j) of the latest half-steps j up to k, oldest
-    first: v_j, the values of both sides after half-step j (those of
-    half-steps j-1 and j, concatenated), and d_j, its squared error.  With
-    s_j = v_j - v_{j-2} and tau = AGREE_TOL * max(1, |v_k|), the cycle is
+    ``history`` holds (v_j, d_j) of the latest five to eight half-steps j up
+    to k, oldest first: v_j, the values of both sides after half-step j
+    (those of half-steps j-1 and j, concatenated), and d_j, its squared
+    error.  With the step s_j = v_j - v_{j-2}, its change c_k = |s_k -
+    s_{k-2}| and tau = AGREE_TOL * max(1, |v_k|), the kinds, tried in this
+    order, are:
 
-    * exact, from five half-steps on: s_k equals s_{k-2} to tau and is not
-      zero (a zero step is an exact repetition), and d_k, d_{k-2} and
-      d_{k-4} agree (``_agree``).  The step is s_k, with no allowance;
-    * converging, from eight half-steps on, when s_k and s_{k-2} differ by
-      more than tau: the errors of each parity over the last three periods
-      agree to the rounding slack ROUNDING * max(1, |v_k|), and the change
-      of the step, s_j - s_{j-2}, shrinks by a steady ratio rho < 1 at both
-      parities (``_gain``).  The step then tends to s_k + (s_k - s_{k-2}) g
-      with g = rho / (1 - rho) (Aitken's delta-squared), and that limit,
-      which must not be zero to tau, is the step.  The run has still about
-      |s_k - s_{k-2}| g to travel before it settles, so the allowance is
-      TRANSIENT times that.
+    * exact, from five half-steps on: d_k, d_{k-2} and d_{k-4} agree
+      (``_agree``), the step has settled, c_k <= tau, and is not zero to tau
+      (a zero step is an exact repetition).  The step is s_k;
+    * converging, from eight half-steps on: c_k > tau, the errors of each
+      parity over the last three periods agree to the rounding slack
+      ROUNDING * max(1, |v_k|), and c_j shrinks by a steady ratio rho < 1 at
+      both parities (``_gain``).  The step then tends to s_k + (s_k -
+      s_{k-2}) g with g = rho / (1 - rho), and that limit, which must not be
+      zero to tau, is the step.  The run has still about c_k g to travel
+      before it settles, so the allowance of its probe is TRANSIENT times
+      that;
+    * jump, from eight half-steps on: both parities' errors fell strictly
+      over their last four entries, and |s_j| shrinks by a steady ratio
+      rho < 1, the same over the last three half-steps (``_gain``).  The
+      values then tend to v_k + s_k g; the latest side's half is returned.
+      A step that has not been seen to shrink, c_k <= AGREE_TOL * max(1,
+      spread of either side's values in v_k), is a translation, not a
+      convergence: its rho is 1 to rounding, and g would carry the values
+      far from the data.  Each side's spread is free of an ordinate offset;
+      the values' size is not.
 
     Norms are maxima of absolute values.  Non-finite values never match.
     """
     values, errors = zip(*history)
-    v0, v2, v4 = values[-1], values[-3], values[-5]  # vj holds v_{k-j}
-    d0 = errors[-1]
+    v0, d0 = history[-1]
+    full = len(history) == 8
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         size = float(np.max(np.abs(v0)))
         if not math.isfinite(size):
             return None
         tau = AGREE_TOL * max(1.0, size)
         exact = _agree(d0, errors[-3]) and _agree(d0, errors[-5])
-        settled = len(history) == 8 and all(
+        settled = full and all(
             max(parity) - min(parity) <= ROUNDING * max(1.0, size)
             for parity in (errors[-1:-6:-2], errors[-2:-7:-2])
         )
-        if not (exact or settled):
+        falling = full and all(a > b for a, b in zip(errors, errors[2:]))
+        if not (exact or settled or falling):
             return None
-        step = v0 - v2
-        delta = step - (v2 - v4)
+        values = np.array(values)
+        steps = values[2:] - values[:-2]
+        step = steps[-1]
+        delta = step - steps[-3]
         change = np.max(np.abs(delta))
         if change <= tau:
-            return (step, 0.0) if exact and np.max(np.abs(step)) > tau else None
-        if not settled:
+            if exact and np.max(np.abs(step)) > tau:
+                return "exact", step, 0.0
+        elif settled:
+            gain = _gain(np.max(np.abs(steps[2:] - steps[:-2]), axis=1), 2)
+            if gain is not None and np.max(np.abs(step + delta * gain)) > tau:
+                return "converging", step + delta * gain, float(TRANSIENT * change * gain)
+        if not falling or change <= AGREE_TOL * max(1.0, np.max(np.ptp(v0.reshape(2, -1), axis=1))):
             return None
-        steps = _steps(values)
-        gain = _gain([np.max(np.abs(a - b)) for a, b in zip(steps[2:], steps)], 2)
-        if gain is None:
-            return None
-        step = step + delta * gain
-        if not np.max(np.abs(step)) > tau:
-            return None
-        return step, float(TRANSIENT * change * gain)
-
-
-def _steps(values) -> list:
-    """s_j = v_j - v_{j-2} for every j that ``values`` (v_j, oldest first)
-    allows, oldest first."""
-    return [a - b for a, b in zip(values[2:], values)]
+        gain = _gain(np.max(np.abs(steps), axis=1), 3)
+        half = len(v0) // 2
+        return None if gain is None else ("jump", v0[half:] + step[half:] * gain, 0.0)
 
 
 def _gain(sizes, count: int):
@@ -240,35 +242,11 @@ def _gain(sizes, count: int):
     RATIO_STEADY * rho of it.  Differences that keep shrinking by rho a
     period sum to rho / (1 - rho) times the latest one.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = [sizes[-1 - j] / sizes[-3 - j] for j in range(count)]
+    ratios = [sizes[-1 - j] / sizes[-3 - j] for j in range(count)]
     rho = ratios[0]
     if not (rho < 1 and all(abs(r - rho) <= RATIO_STEADY * rho for r in ratios[1:])):
         return None
     return rho / (1 - rho)
-
-
-def _limit(history):
-    """Aitken's limit of the latest side's values when eight half-steps of
-    ``history`` (as in ``_translation``) close in on a fixed point, or None.
-
-    The run closes in when both parities' errors fell strictly over their
-    last four entries, and the step s_j = v_j - v_{j-2} shrinks by a steady
-    ratio rho < 1: rho = |s_k| / |s_{k-2}|, and the ratios one and two
-    half-steps back within RATIO_STEADY * rho of it (``_gain``).  The values
-    then tend to v_k + s_k rho / (1 - rho); the latest side's half of that
-    is returned.
-    """
-    values, errors = zip(*history)
-    if len(history) < 8 or not all(a > b for a, b in zip(errors, errors[2:])):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = _steps(values)
-        gain = _gain([np.max(np.abs(s)) for s in steps], 3)
-        if gain is None:
-            return None
-        half = len(values[-1]) // 2
-        return values[-1][half:] + steps[-1][half:] * gain
 
 
 def _in_range(values) -> bool:
@@ -301,7 +279,7 @@ def _persists(history, step, allowance, fit_next, fit_same, periods: int) -> boo
     confirms nothing.
 
     The landing may miss by (periods + 1) * tau, with tau = AGREE_TOL *
-    max(1, |values|), plus ``allowance``.  ``_translation`` accepts an
+    max(1, |values|), plus ``allowance``.  ``_extrapolate`` accepts an
     exact step once two consecutive steps agree to tau, so the step is
     known to about tau per period, and the jump and the period after it
     multiply that by periods + 1.  A converging step is its extrapolated
@@ -353,52 +331,43 @@ def alternate(
     ``right`` is the right side's start and ``target`` its values.  Returns
     the best half-step's squared error and parameters of both sides (strict
     ``<``: the earliest wins ties), the trace of (k, squared error) and the
-    stop reason:
+    stop reason, tested in this order:
 
     - STOP_CONVERGED once an error is at most ``tol``;
     - STOP_CYCLE when the parameters of both sides, flattened and quantized
       to AGREE_TOL, repeat at the same parity.  A half-step whose
       quantized parameters leave the float range takes no part in this test;
-    - STOP_DRIFT when the values of both sides move by a nonzero step each
-      period at repeating errors (``_translation``), and a probe confirms
-      that the translation still holds at the cap (``_persists``): the run
-      would then only repeat its errors.  The step is exact, from k = 5 on,
-      when the last two periods moved by the same step to tau.  It is
-      converging, from k = 8 on, when it still changes by more than tau,
-      but by a steady ratio each period, while both parities' errors repeat
-      to the rounding slack; the step is then its extrapolated limit.  The
-      probe lands within (periods + 1) * tau of the translated values,
-      because an exact step is known only to tau a period, plus, for a
-      converging step, an allowance for the transient that the run still
-      carries.  Its errors agree to AGREE_TOL plus a rounding slack of
-      ROUNDING times the values' size.  The probe's two half-steps are not
-      part of the run or its trace.  The two kinds keep separate probe
-      schedules: after a failed probe of one kind at half-step k, the next
-      of that kind waits until half-step 2k.  So probes cost at most four
-      half-steps each time the run doubles, and a failed converging probe
-      never delays an exact one;
+    - STOP_DRIFT when ``_extrapolate`` finds an exact or converging
+      translated cycle, in which the values of both sides move by a nonzero
+      step each period at repeating errors, and a probe confirms that it
+      still holds at the cap (``_persists``): the run would then only
+      repeat its errors.  The probe's two half-steps are not part of the
+      run or its trace;
     - STOP_CAP otherwise.
 
-    A run that closes in on a fixed point by a steady ratio, with falling
-    errors (``_limit``), jumps there: from k = 8 on, the latest side's
-    values move to their extrapolated limit and one period runs from them
+    When ``_extrapolate`` finds a run closing in on a fixed point, the
+    latest side's values jump to their limit and one period runs from them
     (``_period``).  The period is kept when its landing, the second
     half-step, has an error below the best so far and no higher than the
     first half-step's; its half-steps then become k + 1 and k + 2 of the
-    run, and the history of the translation tests restarts from the jumped
-    values.  The first half-step fits the extrapolated values, which no
-    parameters of the other side produce, so it is never the best and
-    never converged; the condition on its error keeps the best error the
-    trace's least.  A discarded period is not part of the trace.  When only
-    that condition failed, the next jump may come one period on; otherwise
-    it waits until half-step 2k.
+    run, and the history restarts from the jumped values.  The first
+    half-step fits the extrapolated values, which no parameters of the
+    other side produce, so it is never the best and never converged; the
+    condition on its error keeps the best error the trace's least.  A
+    discarded period is not part of the trace, and a jump is made only
+    within the cap.
+
+    Each kind keeps its own schedule, from k = 5 for an exact translation
+    and k = 8 for the others: after a failed probe or jump at half-step k
+    the next of that kind waits until half-step 2k, so probes cost at most
+    four half-steps each time the run doubles; after a jump that failed
+    only on its first half-step's error, it may come one period on.
     """
     trace: list[tuple[int, float]] = []
     best = None
     seen: set[tuple] = set()
     history: list = []
-    probe_from = {False: 5, True: 8}  # exact, converging
-    jump_from = 8
+    due = {"exact": 5, "converging": 8, "jump": 8}
     landing: tuple = ()  # the adopted period's half-steps not yet taken
     reason = STOP_CAP
     for k in range(1, cap + 1):
@@ -420,19 +389,6 @@ def alternate(
             # necessarily the best half-step: earlier errors exceeded tol
             reason = STOP_CONVERGED
             break
-        history.append((np.concatenate((previous, target)), delta))
-        del history[:-8]
-        found = None
-        if len(history) >= 5 and k >= min(probe_from.values()):
-            found = _translation(history)
-        if found is not None:
-            step, allowance = found
-            converging = allowance > 0
-            if k >= probe_from[converging]:
-                if _persists(history, step, allowance, fit_next, fit_same, max(1, (cap - k) // 2)):
-                    reason = STOP_DRIFT
-                    break
-                probe_from[converging] = 2 * k
         with np.errstate(over="ignore"):
             quantized = np.rint(np.concatenate((np.ravel(left), np.ravel(right))) / AGREE_TOL)
         # a key beyond the float range would match unequal parameters
@@ -442,15 +398,27 @@ def alternate(
                 reason = STOP_CYCLE
                 break
             seen.add(key)
-        start = _limit(history) if k >= jump_from and k + 2 <= cap else None
-        if start is not None:
-            period = _period(start, fit_next, fit_same)
+        history.append((np.concatenate((previous, target)), delta))
+        del history[:-8]
+        found = None
+        if len(history) >= 5 and k >= min(due.values()):
+            found = _extrapolate(history)
+        if found is None or k < due[found[0]]:
+            continue
+        kind, vector, allowance = found
+        if kind != "jump":
+            if _persists(history, vector, allowance, fit_next, fit_same, max(1, (cap - k) // 2)):
+                reason = STOP_DRIFT
+                break
+            due[kind] = 2 * k
+        elif k + 2 <= cap:
+            period = _period(vector, fit_next, fit_same)
             if period is None or not period[1][0] < best[0]:
-                jump_from = 2 * k
+                due[kind] = 2 * k
             elif period[1][0] > period[0][0]:
-                jump_from = k + 2
+                due[kind] = k + 2
             else:
-                landing, target = period, start
+                landing, target = period, vector
                 history.clear()
     return (*best, tuple(trace), reason)
 

@@ -265,10 +265,18 @@ def test_fit_rejects_differences_beyond_float_range(capsys, tmp_path, rows):
     assert code == 2 and "finite" in err
 
 
+#: What ``fit`` says when the fitted coefficients overflow.
+COEFFICIENT_OVERFLOW = (
+    "tropfit: error: coefficients leave the float range: the ordinates, or the "
+    "fitted exponents times the abscissae, are too large\n"
+)
+
+
 def test_rational_half_step_whose_target_leaves_the_float_range_exits_2(capsys, tmp_path):
-    """Half-steps take their targets unchecked; a target that is not finite
-    (here NaN, from fitted values near 1e307) still exits 2, through the
-    error polynomials' check of their differences."""
+    """Half-steps take their targets unchecked; a fit to ordinates near 1e307
+    whose exponents times the abscissae overflow exits 2 at the coefficient
+    recovery, before its values can reach the next target, and without a
+    numpy warning (the test suite turns those into errors)."""
     xs = [-2.6395169362336617, -0.20249742181975305, 0.6947876478375408,
           0.7640466540657358, 0.7930832117766924]
     ys = [1.0, 1e307, 0.0, 1.0, 1e307]
@@ -276,7 +284,44 @@ def test_rational_half_step_whose_target_leaves_the_float_range_exits_2(capsys, 
     data.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
     code, out, err = run(capsys, ["fit", "rational", str(data), "--n", "4", "--l", "1"])
     assert code == 2 and out == ""
-    assert err == "tropfit: error: sample coordinate differences must be finite\n"
+    assert err == COEFFICIENT_OVERFLOW
+
+
+@pytest.mark.parametrize("n, l", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_rational_fit_whose_coefficients_overflow_exits_2(capsys, tmp_path, n, l):
+    """Ordinates near the float limit whose fitted coefficients overflow exit
+    2 with a message about the input, not about the fit's own numbers."""
+    data = tmp_path / "d.csv"
+    data.write_text(
+        "-1.4197607715636948,1\n-1.2503256077855622,1.7e308\n2.8285719487638534,1e307\n"
+    )
+    code, out, err = run(capsys, ["fit", "rational", str(data), "--n", str(n), "--l", str(l)])
+    assert code == 2 and out == ""
+    assert err == COEFFICIENT_OVERFLOW
+
+
+def test_raw_fixture_fit_stays_near_the_data(capsys, tmp_path):
+    """The full-precision fixture at (5, 5): the report misses the samples by
+    delta*/2, and no exponent strays beyond a small multiple of the data's
+    steepest chord.  A jump along a step that only seemed to shrink once sent
+    its exponents to 6e7, where the report's values lost 1.5e-9 to rounding."""
+    rows = fixture_rows()
+    data = tmp_path / "raw.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+    code, out, err = run(capsys, ["fit", "rational", str(data), "--n", "5", "--l", "5"])
+    assert code == 0, err
+    report = FitReport.from_json(out)
+    report_path = tmp_path / "r.json"
+    report_path.write_text(out)
+    xs, ys = zip(*rows)
+    code, curve, err = run(capsys, ["eval", str(report_path), *map(repr, xs)])
+    assert code == 0, err
+    values = [float(line.split(",")[1]) for line in curve.strip().splitlines()[1:]]
+    miss = max(abs(v - y) for v, y in zip(values, ys))
+    assert miss == pytest.approx(report.delta_star / 2, abs=1e-9)
+    chord = max(abs((b - a) / (u - t)) for (t, a), (u, b) in zip(rows, rows[1:]))
+    exponents = report.numerator_exponents + report.denominator_exponents
+    assert max(abs(p) for p in exponents) <= 16 * chord
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from tropfit.linalg import (
     STOP_CONVERGED,
     STOP_CYCLE,
     STOP_DRIFT,
-    _translation,
+    _extrapolate,
     alternate,
 )
 
@@ -574,11 +574,11 @@ def test_alternate_jump_whose_first_half_step_is_better_waits_one_period():
     assert [i for i, target in enumerate(calls) if size(target) < 1e-9] == [8, 9, 12, 13]
 
 
-# --- translated-cycle test on synthetic histories --------------------------------
+# --- extrapolation on synthetic histories -----------------------------------------
 
 
 def history_of(sides, errors):
-    """``_translation``'s history from the values of each half-step's side,
+    """``_extrapolate``'s history from the values of each half-step's side,
     the start first: entry j concatenates the sides of half-steps j-1 and j
     and carries errors[j-1]."""
     return [(np.concatenate((a, b)), d) for a, b, d in zip(sides, sides[1:], errors)]
@@ -597,12 +597,16 @@ def settling_sides(rates, half_steps=8):
 #: Repeating errors, one value per parity.
 REPEATING = [1.0 if j % 2 else 0.5 for j in range(1, 9)]
 
+#: Errors that fall strictly at both parities.
+FALLING = [2.0 - 0.1 * j for j in range(1, 9)]
+
 
 def test_translation_extrapolates_a_geometric_step_to_its_limit():
     # the residue shrinks by 0.6 a half-step, so the step's change shrinks by
     # rho = 0.36 a period at either parity, and the step tends to -0.2
     history = history_of(settling_sides([0.6] * 9), REPEATING)
-    step, allowance = _translation(history)
+    kind, step, allowance = _extrapolate(history)
+    assert kind == "converging"
     np.testing.assert_allclose(step, -0.2, rtol=0, atol=1e-14)
     (v0, _), (v2, _), (v4, _) = history[-1], history[-3], history[-5]
     change = np.max(np.abs(v0 - 2 * v2 + v4))
@@ -613,15 +617,16 @@ def test_translation_extrapolates_a_geometric_step_to_its_limit():
 def test_translation_with_an_unsteady_ratio_is_none():
     # the residue's rate drops from 0.6 to 0.3 after half-step 6: the latest
     # ratio is 0.30 against 0.36 at the other parity, more than 10 % apart
-    assert _translation(history_of(settling_sides([0.6] * 6 + [0.3] * 3), REPEATING)) is None
+    assert _extrapolate(history_of(settling_sides([0.6] * 6 + [0.3] * 3), REPEATING)) is None
 
 
 def test_translation_whose_errors_of_one_parity_still_fall_is_none():
     # the odd errors fall by 1e-10 a period, within AGREE_TOL but far above
-    # the rounding slack at values near 1
+    # the rounding slack at values near 1; the even ones do not fall, so
+    # there is no jump either
     errors = [1.0 - 1e-10 * (j // 2) if j % 2 else 0.5 for j in range(1, 9)]
-    assert _translation(history_of(settling_sides([0.6] * 9), errors)) is None
-    assert _translation(history_of(settling_sides([0.6] * 9), REPEATING)) is not None
+    assert _extrapolate(history_of(settling_sides([0.6] * 9), errors)) is None
+    assert _extrapolate(history_of(settling_sides([0.6] * 9), REPEATING))[0] == "converging"
 
 
 @pytest.mark.parametrize("half_steps", [5, 6, 7, 8])
@@ -632,6 +637,44 @@ def test_translation_of_an_exact_step_is_the_latest_step(half_steps):
     sides = [np.array([1.0, -2.0]) - 0.1 * j for j in range(half_steps + 1)]
     errors = [1.0 - 1e-6 * j if (half_steps - j) % 2 else 0.5 for j in range(1, half_steps + 1)]
     history = history_of(sides, errors)
-    step, allowance = _translation(history)
+    kind, step, allowance = _extrapolate(history)
+    assert kind == "exact"
     assert np.array_equal(step, history[-1][0] - history[-3][0])
     assert allowance == 0.0
+
+
+def shrinking_sides(rho, first_step, offset=0.0):
+    """Two values per side, from (1, -2), that fall by a step shrinking by
+    the square root of ``rho`` a half-step, so by ``rho`` a period, from
+    ``first_step`` / 2; ``offset`` is added to the odd half-steps' side.
+    The even side's values tend to (1, -2) - first_step / 2 / (1 - sqrt(rho))."""
+    rate, step, value, sides = math.sqrt(rho), first_step / 2, np.array([1.0, -2.0]), []
+    for j in range(9):
+        sides.append(value + offset * (j % 2))
+        value, step = value - step, step * rate
+    return sides
+
+
+@pytest.mark.parametrize("rho, first_step", [(0.5, 0.2), (0.9, 2e-4)])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_extrapolation_jumps_to_the_limit_of_a_geometric_run(rho, first_step, offset):
+    # a geometric run extrapolates to its limit; steps near 1e-4 that shrink
+    # by 0.9 a period change by about 2e-6, far above AGREE_TOL times the
+    # sides' spread but below AGREE_TOL times values near 1e6, so the jump
+    # must not be refused at an offset.  The offset side's steps carry its
+    # rounding into the ratio, hence the looser tolerance there
+    history = history_of(shrinking_sides(rho, first_step, offset), FALLING)
+    kind, values, _ = _extrapolate(history)
+    assert kind == "jump"
+    limit = np.array([1.0, -2.0]) - first_step / 2 / (1 - math.sqrt(rho))
+    np.testing.assert_allclose(values, limit, rtol=0, atol=1e-12 + 1e-13 * offset)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_extrapolation_makes_no_jump_along_a_step_that_has_not_shrunk(offset):
+    # the step shrinks by rho = 1 - 1e-10 a period, so its change, about
+    # 2e-11, is within AGREE_TOL of the sides' spread: a translation, whose
+    # gain rho / (1 - rho) = 1e10 would carry the values about 2e9 away.  An
+    # offset of one side moves the values' size, but not the refusal
+    history = history_of(shrinking_sides(1 - 1e-10, 0.2, offset), FALLING)
+    assert _extrapolate(history) is None
