@@ -21,7 +21,7 @@ HEADLINE = [(2, 2), (3, 3), (4, 4), (5, 3), (6, 5), (7, 5)]
 
 def run(samples: SampleSet, n: int, l: int):
     start = time.perf_counter()
-    fit = fit_rational(samples, FitConfig(n=n, l=l, epsilon=1e-4))
+    fit = fit_rational(samples, FitConfig(n=n, l=l))
     return fit, time.perf_counter() - start
 
 
@@ -64,12 +64,12 @@ def main() -> int:
             print(f"  N={n}: L={l}, delta*={delta:.6f}")
 
     if args.plot_data and best_fit is not None:
-        steps = 401
+        rational, steps = best_fit.rational, 401
         with open(args.plot_data, "w") as fh:
             fh.write("x,value\n")
             for i in range(steps):
                 x = 2.0 * i / (steps - 1)
-                fh.write(f"{x},{eval_rational(best_fit.rational, x)}\n")
+                fh.write(f"{x},{eval_rational(rational, x)}\n")
         print(f"\nwrote {steps} curve samples to {args.plot_data}")
     print(f"\ntotal half-steps {halfsteps}; at the cap: {' '.join(capped) or 'none'}")
     return 0

@@ -41,7 +41,6 @@ from .fitting import (
     FitConfig,
     PolyFit,
     RationalFit,
-    brute_force_poly_fit,
     fit_polynomial,
     fit_rational,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "agglomerate",
     "fit_polynomial",
     "fit_rational",
-    "brute_force_poly_fit",
     "load_samples",
 ]
 

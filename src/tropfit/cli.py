@@ -164,10 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common_fit_args(rational)
     rational.add_argument("--l", type=int, required=True, help="denominator monomials")
     rational.add_argument(
-        "--epsilon", type=float, default=1e-4, help="squared-error tolerance"
+        "--epsilon", type=float, default=FitConfig.epsilon, help="squared-error tolerance"
     )
     rational.add_argument(
-        "--max-iter", type=int, default=200, help="cap on alternation half-steps"
+        "--max-iter", type=int, default=FitConfig.iteration_cap,
+        help="cap on alternation half-steps",
     )
     rational.set_defaults(func=_cmd_fit_rational)
 

@@ -12,8 +12,8 @@ groups, each group scored by the closed-form minimum of the tropical sum of
 its member polynomials.  The search is greedy and agglomerative: starting
 from singletons, repeatedly merge the pair of groups whose merged polynomial
 has the least minimum, until N groups remain.  The greedy partition is a
-heuristic, not a guaranteed optimum; ``fitting.brute_force_poly_fit`` bounds
-it on small instances.
+heuristic, not a guaranteed optimum; the test suite bounds it on small
+instances by an exhaustive search over partitions.
 
 All M error polynomials together are one (M, M, 2) float array E with
 E[i, j] = (x_j - x_i, y_i - y_j) (``error_polynomials``).  The merged minimum

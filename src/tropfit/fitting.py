@@ -33,25 +33,13 @@ coefficients that leave it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .clustering import (
-    ExponentResult,
-    SampleSet,
-    agglomerate,
-    error_polynomials,
-    pair_minima,
-    score_blocks,
-)
-from .linalg import alternate, check_count, matvec, residuate
+from .clustering import ExponentResult, SampleSet, agglomerate, error_polynomials
+from .linalg import alternate, check_count, residuate
 from .linalg import STOP_CAP, STOP_CONVERGED, STOP_CYCLE, STOP_DRIFT  # noqa: F401  (fit API names)
-from .puiseux import PuiseuxPoly, PuiseuxRational
-
-#: Brute-force oracle size limits.
-BRUTE_FORCE_MAX_SAMPLES = 8
-BRUTE_FORCE_MAX_MONOMIALS = 3
+from .puiseux import PuiseuxPoly, PuiseuxRational, poly_values
 
 
 @dataclass(frozen=True)
@@ -92,7 +80,6 @@ class PolyFit:
 class RationalFit:
     """Fitted rational function, its squared error, and the iteration record."""
 
-    rational: PuiseuxRational
     delta_star: float
     trace: tuple[tuple[int, float], ...]
     stop_reason: str
@@ -100,6 +87,14 @@ class RationalFit:
     numerator_coefficients: tuple[float, ...]
     denominator_exponents: tuple[float, ...]
     denominator_coefficients: tuple[float, ...]
+
+    @property
+    def rational(self) -> PuiseuxRational:
+        """The canonicalized quotient, built when read."""
+        return PuiseuxRational(
+            PuiseuxPoly(zip(self.numerator_exponents, self.numerator_coefficients)),
+            PuiseuxPoly(zip(self.denominator_exponents, self.denominator_coefficients)),
+        )
 
 
 def _poly_fit(samples: SampleSet, result: ExponentResult) -> PolyFit:
@@ -127,55 +122,6 @@ def fit_polynomial(samples: SampleSet, n: int) -> PolyFit:
     return _poly_fit(samples, agglomerate(error_polynomials(samples), n))
 
 
-def _set_partitions(m: int, n: int) -> Iterator[list[list[int]]]:
-    """All partitions of range(m) into exactly n nonempty blocks, in
-    restricted-growth order (deterministic)."""
-
-    blocks: list[list[int]] = []
-
-    def extend(i: int):
-        if i == m:
-            if len(blocks) == n:
-                yield [list(b) for b in blocks]
-            return
-        # prune states that cannot reach n blocks with the items left
-        if len(blocks) + (m - i) < n:
-            return
-        for b in blocks:
-            b.append(i)
-            yield from extend(i + 1)
-            b.pop()
-        if len(blocks) < n:
-            blocks.append([i])
-            yield from extend(i + 1)
-            blocks.pop()
-
-    yield from extend(0)
-
-
-def brute_force_poly_fit(samples: SampleSet, n: int) -> PolyFit:
-    """Exhaustive-partition oracle for fit_polynomial on small instances.
-
-    Scores every partition of the sample indices into n groups and returns
-    the global optimum; ties go to the first partition in enumeration order.
-    """
-    m = len(samples)
-    if m > BRUTE_FORCE_MAX_SAMPLES or n > BRUTE_FORCE_MAX_MONOMIALS:
-        raise ValueError(
-            f"oracle limited to M <= {BRUTE_FORCE_MAX_SAMPLES}, "
-            f"N <= {BRUTE_FORCE_MAX_MONOMIALS}"
-        )
-    check_count(n, "monomial count", m)
-    polys = error_polynomials(samples)
-    minima = pair_minima(polys)
-    best: ExponentResult | None = None
-    for partition in _set_partitions(m, n):
-        result = score_blocks(partition, polys, minima)
-        if best is None or result.delta_star < best.delta_star:
-            best = result
-    return _poly_fit(samples, best)
-
-
 def fit_rational(samples: SampleSet, config: FitConfig) -> RationalFit:
     """Fit a rational function (ratio of n- and l-monomial polynomials).
 
@@ -188,23 +134,19 @@ def fit_rational(samples: SampleSet, config: FitConfig) -> RationalFit:
     check_count(config.l, "l", len(samples))
     xs, ys = samples.xs, samples.ys
 
-    def values(exponents, coefficients) -> np.ndarray:
-        return matvec(np.multiply.outer(xs, exponents), coefficients)
-
     def fit_numerator(target: np.ndarray):
         fit = fit_polynomial(SampleSet._of_arrays(xs, target), config.n)
         p, t = fit.exponent_result.exponents, fit.coefficients
-        return fit.delta_star, (p, t), values(p, t) - ys
+        return fit.delta_star, (p, t), poly_values(p, t, xs) - ys
 
     def fit_denominator(target: np.ndarray):
         fit = fit_polynomial(SampleSet._of_arrays(xs, target), config.l)
         q, s = fit.exponent_result.exponents, fit.coefficients
-        return fit.delta_star, (q, s), ys + values(q, s)
+        return fit.delta_star, (q, s), ys + poly_values(q, s, xs)
 
     zeros = (0.0,) * config.l
     delta_star, (num_p, num_t), (den_q, den_s), trace, reason = alternate(
-        fit_numerator, fit_denominator, (zeros, zeros), ys + values(zeros, zeros),
+        fit_numerator, fit_denominator, (zeros, zeros), ys + poly_values(zeros, zeros, xs),
         config.epsilon, config.iteration_cap,
     )
-    rational = PuiseuxRational(PuiseuxPoly(zip(num_p, num_t)), PuiseuxPoly(zip(den_q, den_s)))
-    return RationalFit(rational, delta_star, trace, reason, num_p, num_t, den_q, den_s)
+    return RationalFit(delta_star, trace, reason, num_p, num_t, den_q, den_s)

@@ -129,7 +129,8 @@ def check_count(value, what: str, most: float = math.inf) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if not 1 <= value <= most:
-        raise ValueError(f"{what} must be in 1..{most}, got {value}")
+        bound = "at least 1" if most == math.inf else f"in 1..{most}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A polynomial with monomials (p_j, theta_j) is the convex piecewise-linear
 function x -> max_j (p_j * x + theta_j); exponents are arbitrary reals and
 coefficients are finite (nonzero) scalars.  A rational function is a tropical
 quotient of two polynomials, i.e. a difference of convex piecewise-linear
-functions.
+functions.  ``poly_values`` evaluates a polynomial at many points in one
+array pass; the fit, the report's evaluator and ``eval_poly`` all use it.
 
 ``min_poly`` evaluates the closed-form minimum over x of a polynomial with
 exponents of mixed sign
@@ -100,11 +101,24 @@ class PuiseuxRational:
     denominator: PuiseuxPoly
 
 
+def poly_values(exponents, coefficients, xs) -> np.ndarray:
+    """max_j (p_j * x + theta_j) at each x of ``xs``, as a float array.
+
+    Each value is the first largest of the terms, in the monomials' order;
+    ties that differ only in the sign of a zero go to the earlier monomial.
+    The monomials may repeat an exponent.  A term that overflows is inf,
+    and inf - inf is nan, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.multiply.outer(xs, exponents) + coefficients
+    return terms[np.arange(len(terms)), terms.argmax(axis=1)]
+
+
 def eval_poly(poly: PuiseuxPoly, x: float) -> float:
     """Evaluate max_j (p_j * x + theta_j) at a finite x."""
     if not math.isfinite(x):
         raise ValueError(f"polynomials are evaluated at finite x, got {x!r}")
-    return max(p * x + t for p, t in poly.monomials)
+    return poly_values(poly.exponents, poly.coefficients, [x]).item()
 
 
 def eval_rational(r: PuiseuxRational, x: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .clustering import SampleSet
 from .fitting import PolyFit, RationalFit
-from .puiseux import PuiseuxPoly
+from .puiseux import PuiseuxPoly, poly_values
 
 MODE_MAXPLUS = "maxplus"
 MODE_MAXTIMES = "maxtimes"
@@ -283,13 +283,11 @@ def evaluator(report: FitReport) -> Callable[[Sequence[float]], list[float]]:
 
     Max-times reports are evaluated in the log domain: coefficients and the
     arguments are logged, and the max-plus values are mapped back with exp,
-    one point at a time.  Each polynomial value is the first largest of the
-    terms p_j * t + theta_j over the canonical monomials, formed by the same
-    float operations as ``eval_poly``, so the values equal its per-point
-    ones bit for bit.  A max-times point that is not positive, a point
-    whose argument is not finite, and a value that overflows the float
-    range raise ValueError; of several, the first point's raises, with the
-    message a point-by-point evaluation would give.
+    one point at a time.  Each polynomial value is ``poly_values`` over the
+    canonical monomials, as in ``eval_poly``.  A max-times point that is not
+    positive, a point whose argument is not finite, and a value that
+    overflows the float range raise ValueError; of several, the first
+    point's raises, with the message a point-by-point evaluation would give.
     """
     maxtimes = report.mode == MODE_MAXTIMES
 
@@ -304,10 +302,6 @@ def evaluator(report: FitReport) -> Callable[[Sequence[float]], list[float]]:
     if report.is_rational:
         den = monomials(report.denominator_exponents, report.denominator_coefficients)
 
-    def values(ts: list[float], exponents: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        terms = np.multiply.outer(ts, exponents) + coefficients
-        return terms[np.arange(len(ts)), terms.argmax(axis=1)]
-
     def apply(points: Sequence[float]) -> list[float]:
         ts: list[float] = []
         problem = None  # the first point that cannot be evaluated stops the pass
@@ -320,10 +314,10 @@ def evaluator(report: FitReport) -> Callable[[Sequence[float]], list[float]]:
                 problem = f"polynomials are evaluated at finite x, got {t!r}"
                 break
             ts.append(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = values(ts, *num)
-            if den is not None:
-                value = value - values(ts, *den)
+        value = poly_values(*num, ts)
+        if den is not None:
+            with np.errstate(invalid="ignore"):
+                value = value - poly_values(*den, ts)
         out = []
         for x, v in zip(points, value.tolist()):
             if not math.isfinite(v):

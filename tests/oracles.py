@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's solver code paths: grid searches and
 exhaustive enumerations check the closed forms, and pure-Python loops over
-floats (``matvec``, ``chebyshev``, ``monomial_matrix``) check the numpy
-kernels.  Vectors and matrices are float arrays or nested lists with -inf as
+floats (``matvec``, ``chebyshev``, ``monomial_matrix``, ``poly_value``)
+check the numpy kernels.  Vectors and matrices are float arrays or nested lists with -inf as
 the tropical zero, as in the library.  The exponent search's references work
 on ``PuiseuxPoly`` objects where the library works on one float array: one
 polynomial per sample (``sample_polynomials``), tropical sums by
@@ -24,7 +24,8 @@ bound that the closed form and the kernel are held to.
 ``lower_chain_fractions`` is the hull chain over the library's float
 differences with every turn in ``Fraction``s.
 ``canonical_monomials`` is the dict merge that ``PuiseuxPoly`` replaced
-with array operations.
+with array operations.  ``brute_force_poly_fit`` scores every partition of
+the samples into n blocks, the exhaustive bound on the greedy search.
 """
 
 import heapq
@@ -34,8 +35,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from tropfit import PuiseuxPoly, SampleSet, min_poly
-from tropfit.clustering import SCORE_QUANTUM, ExponentResult, Partition, PartitionBlock
+from tropfit import PuiseuxPoly, SampleSet, error_polynomials, min_poly
+from tropfit.clustering import (
+    SCORE_QUANTUM,
+    ExponentResult,
+    Partition,
+    PartitionBlock,
+    pair_minima,
+    score_blocks,
+)
+from tropfit.fitting import _poly_fit
+from tropfit.linalg import check_count
 from tropfit.puiseux import ZERO_EXPONENT_TOL, mu_term, pairwise_minimum_value, sign_masks
 
 
@@ -48,6 +58,12 @@ def grid_min(monomials, lo=-20.0, hi=20.0, step=1e-3):
     envelope = np.max([p * grid + t for p, t in monomials], axis=0)
     i = int(envelope.argmin())
     return float(envelope[i]), float(grid[i])
+
+
+def poly_value(monomials, x):
+    """max_j (p_j * x + theta_j) by a loop over floats: the first largest
+    term, in the monomials' order."""
+    return max(p * x + t for p, t in monomials)
 
 
 def chebyshev(u, v):
@@ -323,3 +339,58 @@ def agglomerate_by_merging(polys, n):
     minima = tuple(b.minimum.mu for b in blocks)
     exponents = tuple(b.minimum.representative() for b in blocks)
     return ExponentResult(exponents, minima, max(minima), Partition(tuple(blocks)))
+
+
+#: Brute-force oracle size limits.
+BRUTE_FORCE_MAX_SAMPLES = 8
+BRUTE_FORCE_MAX_MONOMIALS = 3
+
+
+def _set_partitions(m, n):
+    """All partitions of range(m) into exactly n nonempty blocks, in
+    restricted-growth order (deterministic)."""
+
+    blocks = []
+
+    def extend(i):
+        if i == m:
+            if len(blocks) == n:
+                yield [list(b) for b in blocks]
+            return
+        # prune states that cannot reach n blocks with the items left
+        if len(blocks) + (m - i) < n:
+            return
+        for b in blocks:
+            b.append(i)
+            yield from extend(i + 1)
+            b.pop()
+        if len(blocks) < n:
+            blocks.append([i])
+            yield from extend(i + 1)
+            blocks.pop()
+
+    yield from extend(0)
+
+
+def brute_force_poly_fit(samples, n):
+    """Exhaustive-partition oracle for ``fit_polynomial`` on small instances.
+
+    Scores every partition of the sample indices into n groups and returns
+    the global optimum, its coefficients recovered as the library does;
+    ties go to the first partition in enumeration order.
+    """
+    m = len(samples)
+    if m > BRUTE_FORCE_MAX_SAMPLES or n > BRUTE_FORCE_MAX_MONOMIALS:
+        raise ValueError(
+            f"oracle limited to M <= {BRUTE_FORCE_MAX_SAMPLES}, "
+            f"N <= {BRUTE_FORCE_MAX_MONOMIALS}"
+        )
+    check_count(n, "monomial count", m)
+    polys = error_polynomials(samples)
+    minima = pair_minima(polys)
+    best = None
+    for partition in _set_partitions(m, n):
+        result = score_blocks(partition, polys, minima)
+        if best is None or result.delta_star < best.delta_star:
+            best = result
+    return _poly_fit(samples, best)

@@ -18,7 +18,6 @@ from tropfit import (
     FitConfig,
     SampleSet,
     best_approx_solve,
-    brute_force_poly_fit,
     fit_polynomial,
     fit_rational,
     min_poly,
@@ -29,6 +28,7 @@ from tropfit.report import FitReport, load_samples
 
 from oracles import (
     assignments,
+    brute_force_poly_fit,
     chebyshev,
     convex_sampleset,
     grid_min,

@@ -7,8 +7,10 @@ import math
 import pytest
 
 from tropfit.cli import _build_parser, fixture_curve, fixture_rows, main
-from tropfit.puiseux import PuiseuxPoly, PuiseuxRational, eval_rational
+from tropfit.puiseux import PuiseuxPoly, PuiseuxRational
 from tropfit.report import FitReport, load_samples
+
+from oracles import poly_value
 
 
 @pytest.fixture
@@ -245,6 +247,22 @@ def test_fit_errors_exit_nonzero(capsys, tmp_path, fixture_csv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (["--n", "0", "--l", "2"], "n must be at least 1, got 0"),
+        (["--n", "2", "--l", "0"], "l must be at least 1, got 0"),
+        (["--n", "2", "--l", "2", "--max-iter", "0"], "iteration_cap must be at least 1, got 0"),
+    ],
+    ids=["n", "l", "max-iter"],
+)
+def test_zero_counts_exit_2_without_an_infinite_bound(capsys, fixture_csv, counts, message):
+    """A count with no upper bound says "at least 1", not "in 1..inf"."""
+    code, out, err = run(capsys, ["fit", "rational", str(fixture_csv), *counts])
+    assert code == 2 and out == ""
+    assert message in err and "inf" not in err
+
+
 def test_maxtimes_mode_rejects_nonpositive(capsys, tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("0.0,1.0\n1.0,2.0\n")
@@ -300,15 +318,27 @@ def test_rational_fit_whose_coefficients_overflow_exits_2(capsys, tmp_path, n, l
     assert err == COEFFICIENT_OVERFLOW
 
 
-def test_raw_fixture_fit_stays_near_the_data(capsys, tmp_path):
-    """The full-precision fixture at (5, 5): the report misses the samples by
-    delta*/2, and no exponent strays beyond a small multiple of the data's
-    steepest chord.  A jump along a step that only seemed to shrink once sent
-    its exponents to 6e7, where the report's values lost 1.5e-9 to rounding."""
+@pytest.mark.parametrize(
+    "n, l",
+    [
+        (5, 5),
+        # ROADMAP item 16: a kept jump with gain 1.29e4 sends exponents to 718,
+        # 167 times the steepest chord.
+        pytest.param(5, 6, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 16")),
+        pytest.param(5, 7, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 16")),
+    ],
+    ids=["5-5", "5-6", "5-7"],
+)
+def test_raw_fixture_fit_stays_near_the_data(capsys, tmp_path, n, l):
+    """The full-precision fixture: the report misses the samples by delta*/2,
+    and no exponent strays beyond a small multiple of the data's steepest
+    chord.  At (5, 5) a jump along a step that only seemed to shrink once
+    sent its exponents to 6e7, where the report's values lost 1.5e-9 to
+    rounding."""
     rows = fixture_rows()
     data = tmp_path / "raw.csv"
     data.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
-    code, out, err = run(capsys, ["fit", "rational", str(data), "--n", "5", "--l", "5"])
+    code, out, err = run(capsys, ["fit", "rational", str(data), "--n", str(n), "--l", str(l)])
     assert code == 0, err
     report = FitReport.from_json(out)
     report_path = tmp_path / "r.json"
@@ -460,8 +490,8 @@ def test_sample_equals_the_rational_evaluated_point_by_point(
     capsys, fixture_csv, tmp_path, rows, fit_args, grid
 ):
     """``sample`` evaluates all its points in one pass, to the same floats
-    as ``eval_rational`` at each point (in max-times mode, exp of it at the
-    logged point, with the logged coefficients)."""
+    as a scalar loop over the canonical monomials at each point (in max-times
+    mode, exp of it at the logged point, with the logged coefficients)."""
     data = fixture_csv
     if rows is not None:
         data = tmp_path / "times.csv"
@@ -484,7 +514,10 @@ def test_sample_equals_the_rational_evaluated_point_by_point(
     step = (stop - start) / (steps - 1)
     expected = ["x,value"]
     for x in (start + i * step for i in range(steps)):
-        value = eval_rational(rational, log(x))
+        t = log(x)
+        value = poly_value(rational.numerator.monomials, t) - poly_value(
+            rational.denominator.monomials, t
+        )
         expected.append(f"{x!r},{math.exp(value) if maxtimes else value!r}")
     assert curve.splitlines() == expected
 

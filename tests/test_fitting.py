@@ -11,7 +11,6 @@ from tropfit import (
     SampleSet,
     agglomerate,
     alternating_solve,
-    brute_force_poly_fit,
     error_polynomials,
     eval_poly,
     eval_rational,
@@ -20,6 +19,7 @@ from tropfit import (
 )
 
 from oracles import (
+    brute_force_poly_fit,
     chebyshev,
     convex_sampleset,
     matvec,

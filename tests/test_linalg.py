@@ -237,6 +237,11 @@ def test_alternating_against_grid_oracle():
     assert achieved == pytest.approx(oracle, abs=2e-3)
 
 
+def test_alternating_rejects_a_zero_iteration_cap():
+    with pytest.raises(ValueError, match=r"^max_iter must be at least 1, got 0$"):
+        alternating_solve(EYE, EYE, [0.0, 0.0], max_iter=0)
+
+
 def test_alternating_requires_regularity():
     a = [[0.0, 1.0], [1.0, 0.0]]
     b = [[0.0, ZERO], [1.0, ZERO]]  # all-ZERO column

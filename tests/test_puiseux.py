@@ -16,9 +16,9 @@ from tropfit import (
     eval_rational,
     min_poly,
 )
-from tropfit.puiseux import minimum_at, pairwise_minimum_value, sign_masks
+from tropfit.puiseux import minimum_at, pairwise_minimum_value, poly_values, sign_masks
 
-from oracles import canonical_monomials, grid_min, poly_sum
+from oracles import canonical_monomials, grid_min, poly_sum, poly_value
 
 coeff = st.floats(min_value=-9.0, max_value=9.0, allow_nan=False, allow_infinity=False)
 
@@ -137,8 +137,23 @@ def test_canonicalization_matches_the_dict_build(monomials):
 def test_canonicalization_preserves_values(monomials, points):
     poly = PuiseuxPoly(monomials)
     for x in points:
-        raw = max(p * x + t for p, t in monomials)
-        assert eval_poly(poly, x) == raw
+        assert eval_poly(poly, x) == poly_value(monomials, x)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                       st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | coeff), min_size=1, max_size=8),
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+             | st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=10),
+)
+def test_poly_values_match_the_scalar_loop(monomials, points):
+    """Bit for bit, signs of zero included, on monomials as a fit hands them
+    over: unsorted, with repeated exponents and tied terms."""
+    exponents, coefficients = zip(*monomials)
+    got = poly_values(exponents, coefficients, points).tolist()
+    expected = [poly_value(monomials, x) for x in points]
+    assert got == expected
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expected]
 
 
 @given(mixed_sign_polys(), st.data())
