@@ -47,20 +47,22 @@ STOP_CYCLE = "cycle"
 STOP_DRIFT = "drift-cycle"
 STOP_CAP = "iteration-cap"
 
-#: The one tolerance of the solvers and the alternation: squared errors and
-#: values agree to AGREE_TOL * max(1, their size) (``_agree``, the
-#: translated-cycle test), a squared error within AGREE_TOL of ONE is exact,
-#: and the repeated-parameters test in ``alternate`` quantizes to AGREE_TOL.
-#: Exact float equality would be defeated by accumulated rounding drift.
+#: The one tolerance of the solvers and the alternation: squared errors
+#: agree to AGREE_TOL * max(1, their size) (``_agree``), values to AGREE_TOL
+#: * max(1, their spread) (``_tolerance``), a squared error within AGREE_TOL
+#: of ONE is exact, and the repeated-parameters test in ``alternate``
+#: quantizes to AGREE_TOL.  Exact float equality would be defeated by
+#: accumulated rounding drift.
 AGREE_TOL = 1e-9
 
-#: The translated-cycle test's rounding slack, a multiple of eps times the
-#: size of the values (see ``_persists`` for how 64 was measured); the
-#: largest relative change between consecutive ratios that ``_gain`` calls
-#: steady; and the multiple of its remaining transient that a converging
-#: probe's landing may miss by (``_extrapolate``).  On the fixture's 7x7
-#: sweep and 300 seeded small fits, converging probes whose errors held
-#: missed by at most 0.8 transients, or by 6 and more.
+#: The rounding slack that ``_tolerance`` adds to both kinds of agreement in
+#: the extrapolation and its probe, a multiple of eps times the size of the
+#: values (see ``_persists`` for how 64 was measured); the largest relative
+#: change between consecutive ratios that ``_gain`` calls steady; and the
+#: multiple of its remaining transient that a converging probe's landing
+#: may miss by (``_extrapolate``).  On the fixture's 7x7 sweep and 300
+#: seeded small fits, converging probes whose errors held missed by at most
+#: 0.8 transients, or by 6 and more.
 ROUNDING = 64 * np.finfo(float).eps
 RATIO_STEADY = 0.1
 TRANSIENT = 4
@@ -161,6 +163,15 @@ def _agree(a: float, b: float, slack: float = 0.0) -> bool:
     return abs(a - b) <= AGREE_TOL * max(1.0, abs(a)) + slack
 
 
+def _tolerance(values) -> tuple[float, float]:
+    """(tau, slack) of ``values``, both sides concatenated: slack = ROUNDING *
+    max(1, |values|), the rounding of values of that size, and tau = AGREE_TOL
+    * max(1, the larger side's spread) + slack, free of an ordinate offset."""
+    slack = ROUNDING * max(1.0, float(np.max(np.abs(values))))
+    spread = float(np.max(np.ptp(values.reshape(2, -1), axis=1)))
+    return AGREE_TOL * max(1.0, spread) + slack, slack
+
+
 def _extrapolate(history):
     """Aitken's delta-squared extrapolation of the run that ``history`` ends
     in, tagged by kind, or None: ("exact", step, 0.0) or ("converging",
@@ -171,29 +182,24 @@ def _extrapolate(history):
     to k, oldest first: v_j, the values of both sides after half-step j
     (those of half-steps j-1 and j, concatenated), and d_j, its squared
     error.  With the step s_j = v_j - v_{j-2}, its change c_k = |s_k -
-    s_{k-2}| and tau = AGREE_TOL * max(1, |v_k|), the kinds, tried in this
-    order, are:
+    s_{k-2}| and (tau, slack) = ``_tolerance(v_k)``, the kinds, tried in
+    this order, are:
 
     * exact, from five half-steps on: d_k, d_{k-2} and d_{k-4} agree
-      (``_agree``), the step has settled, c_k <= tau, and is not zero to tau
-      (a zero step is an exact repetition).  The step is s_k;
+      (``_agree``, plus slack), the step has settled, c_k <= tau, and is not
+      zero to tau (a zero step is an exact repetition).  The step is s_k,
+      and a settled step is never taken for a convergence (rho = 1);
     * converging, from eight half-steps on: c_k > tau, the errors of each
-      parity over the last three periods agree to the rounding slack
-      ROUNDING * max(1, |v_k|), and c_j shrinks by a steady ratio rho < 1 at
-      both parities (``_gain``).  The step then tends to s_k + (s_k -
-      s_{k-2}) g with g = rho / (1 - rho), and that limit, which must not be
-      zero to tau, is the step.  The run has still about c_k g to travel
-      before it settles, so the allowance of its probe is TRANSIENT times
-      that;
-    * jump, from eight half-steps on: both parities' errors fell strictly
-      over their last four entries, and |s_j| shrinks by a steady ratio
-      rho < 1, the same over the last three half-steps (``_gain``).  The
+      parity over the last three periods agree to slack, and c_j shrinks
+      by a steady ratio rho < 1 at both parities (``_gain``).  The step
+      then tends to s_k + (s_k - s_{k-2}) g with g = rho / (1 - rho), and
+      that limit, which must not be zero to tau, is the step.  The run has
+      still about c_k g to travel before it settles, so the allowance of
+      its probe is TRANSIENT times that;
+    * jump, from eight half-steps on: c_k > tau, both parities' errors fell
+      strictly over their last four entries, and |s_j| shrinks by one
+      steady ratio rho < 1 over the last three half-steps (``_gain``).  The
       values then tend to v_k + s_k g; the latest side's half is returned.
-      A step that has not been seen to shrink, c_k <= AGREE_TOL * max(1,
-      spread of either side's values in v_k), is a translation, not a
-      convergence: its rho is 1 to rounding, and g would carry the values
-      far from the data.  Each side's spread is free of an ordinate offset;
-      the values' size is not.
 
     Norms are maxima of absolute values.  Non-finite values never match.
     """
@@ -201,13 +207,12 @@ def _extrapolate(history):
     v0, d0 = history[-1]
     full = len(history) == 8
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        size = float(np.max(np.abs(v0)))
-        if not math.isfinite(size):
+        if not np.isfinite(v0).all():
             return None
-        tau = AGREE_TOL * max(1.0, size)
-        exact = _agree(d0, errors[-3]) and _agree(d0, errors[-5])
+        tau, slack = _tolerance(v0)
+        exact = _agree(d0, errors[-3], slack) and _agree(d0, errors[-5], slack)
         settled = full and all(
-            max(parity) - min(parity) <= ROUNDING * max(1.0, size)
+            max(parity) - min(parity) <= slack
             for parity in (errors[-1:-6:-2], errors[-2:-7:-2])
         )
         falling = full and all(a > b for a, b in zip(errors, errors[2:]))
@@ -219,15 +224,12 @@ def _extrapolate(history):
         delta = step - steps[-3]
         change = np.max(np.abs(delta))
         if change <= tau:
-            if exact and np.max(np.abs(step)) > tau:
-                return "exact", step, 0.0
-        elif settled:
+            return ("exact", step, 0.0) if exact and np.max(np.abs(step)) > tau else None
+        if settled:
             gain = _gain(np.max(np.abs(steps[2:] - steps[:-2]), axis=1), 2)
             if gain is not None and np.max(np.abs(step + delta * gain)) > tau:
                 return "converging", step + delta * gain, float(TRANSIENT * change * gain)
-        if not falling or change <= AGREE_TOL * max(1.0, np.max(np.ptp(v0.reshape(2, -1), axis=1))):
-            return None
-        gain = _gain(np.max(np.abs(steps), axis=1), 3)
+        gain = _gain(np.max(np.abs(steps), axis=1), 3) if falling else None
         half = len(v0) // 2
         return None if gain is None else ("jump", v0[half:] + step[half:] * gain, 0.0)
 
@@ -279,27 +281,27 @@ def _persists(history, step, allowance, fit_next, fit_same, periods: int) -> boo
     the errors of the latest period.  A jump beyond the float range
     confirms nothing.
 
-    The landing may miss by (periods + 1) * tau, with tau = AGREE_TOL *
-    max(1, |values|), plus ``allowance``.  ``_extrapolate`` accepts an
-    exact step once two consecutive steps agree to tau, so the step is
-    known to about tau per period, and the jump and the period after it
-    multiply that by periods + 1.  A converging step is its extrapolated
-    limit, and the run from the jumped values still carries the transient
-    that the allowance covers.  A translation that ends before then, say
-    when a drifting value falls below the others, misses by about a whole
-    step, which is of the order of the values' spread and far above this.
+    The landing may miss by (periods + 1) * tau plus ``allowance``, with
+    (tau, slack) = ``_tolerance`` of the landed values.  ``_extrapolate``
+    accepts an exact step once two consecutive steps agree to tau, so the
+    step is known to about tau per period, and the jump and the period
+    after it multiply that by periods + 1.  A converging step is its
+    extrapolated limit, and the run from the jumped values still carries
+    the transient that the allowance covers.  A translation that ends
+    before then, say when a drifting value falls below the others, misses
+    by about a whole step, which is of the order of the values' spread and
+    far above this.
 
     The errors get no such allowance: they must agree as in the exact
-    test, plus a slack of ROUNDING * max|values| for rounding.  A
-    half-step's error is a difference of values of that size, reached
-    through a chain of roundings whose length depends on the fit, so the
-    slack is measured rather than derived.  On the bundled fixture at
-    ordinates + 1e6 (N, L in 2..7), the probes that landed but whose
-    errors missed AGREE_TOL differed from the run's by at most 49
-    eps * max|values|, or by 808 and more where the errors were still
-    settling; 64 is the smallest power of two between.  At values near 1
-    the slack is about 1e-14, so errors that still move by 1e-9 over the
-    jump fail the probe.
+    test, to AGREE_TOL plus slack.  A half-step's error is a difference of
+    values of size max|values|, reached through a chain of roundings whose
+    length depends on the fit, so ROUNDING is measured rather than
+    derived.  On the bundled fixture at ordinates + 1e6 (N, L in 2..7), the
+    probes that landed but whose errors missed AGREE_TOL differed from the
+    run's by at most 49 eps * max|values|, or by 808 and more where the
+    errors were still settling; 64 is the smallest power of two between.
+    At values near 1 the slack is about 1e-14, so errors that still move by
+    1e-9 over the jump fail the probe.
     """
     (v0, d0), d1 = history[-1], history[-2][1]
     half = len(v0) // 2
@@ -308,11 +310,9 @@ def _persists(history, step, allowance, fit_next, fit_same, periods: int) -> boo
         return False
     (e1, _, u1), (e0, _, u0) = period
     landed = np.concatenate((u1, u0))
-    size = float(np.max(np.abs(landed)))
+    tau, slack = _tolerance(landed)
     with np.errstate(over="ignore", invalid="ignore"):
         missed = np.max(np.abs(landed - (v0 + (periods + 1) * step)))
-    tau = AGREE_TOL * max(1.0, size)
-    slack = ROUNDING * size
     return (
         bool(missed <= (periods + 1) * tau + allowance)
         and _agree(d1, e1, slack)

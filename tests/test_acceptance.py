@@ -151,6 +151,20 @@ def test_error_table_under_an_ordinate_offset(fixture_csv):
         assert fit_rational(shifted, config).delta_star == pytest.approx(delta, abs=1e-8)
 
 
+@pytest.mark.parametrize("n, l", [(2, 2), (3, 3), (4, 4), (6, 5)])
+def test_a_large_ordinate_offset_does_not_run_to_the_cap(fixture_csv, n, l):
+    """At ys + 1e8 the values round at about 1e-8, so the stop rules must
+    take that rounding for agreement: the fit stops as unshifted does,
+    before the cap, with the unshifted error up to the offset's
+    rounding."""
+    samples = load_samples(fixture_csv)
+    shifted = SampleSet(samples.xs, [y + 1e8 for y in samples.ys])
+    config = FitConfig(n=n, l=l)
+    fit = fit_rational(shifted, config)
+    assert fit.stop_reason != "iteration-cap"
+    assert fit.delta_star == pytest.approx(fit_rational(samples, config).delta_star, abs=1e-7)
+
+
 def test_an_ordinate_offset_keeps_the_stop_of_a_translated_cycle(fixture_csv):
     """At ys + 1e6, (2, 2) runs into the translated cycle that stops the
     unshifted run at half-step 10.  Its probe's errors differ from the

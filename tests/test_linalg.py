@@ -468,14 +468,16 @@ def test_alternate_translation_with_changing_error_does_not_stop():
 
 
 def test_alternate_translated_cycle_step_tolerance_is_relative():
-    # at values near 1e12, tau is about 1e3: steps of 1e4 that differ by 0.5
-    # once (the half-step from the target 1e12 - 1e4) are equal within tau,
-    # though not within 1e-9 absolute
+    # at values near 1e12 the step tolerance is about ROUNDING * 1e12 =
+    # 0.0142, the rounding of such values: steps of 1e4 that differ once by
+    # 0.01 (the half-step from the target 1e12 - 1e4) are equal within it,
+    # though not within 1e-9 absolute, and stop at the first probe; steps
+    # that differ by 0.5 do not, and the run goes on past k = 5
     top = 1e12
-    half = lambda target: (1.0, target, target - 5e3 + 0.5 * (target[0] == top - 1e4))
-    _, _, _, trace, reason = alternate(half, half, np.zeros(1), np.full(1, top), 0.0, 20)
-    assert reason == STOP_DRIFT
-    assert len(trace) == 5
+    for jolt, steps in ((0.01, 5), (0.5, 8)):
+        half = lambda target: (1.0, target, target - 5e3 + jolt * (target[0] == top - 1e4))
+        _, _, _, trace, reason = alternate(half, half, np.zeros(1), np.full(1, top), 0.0, 20)
+        assert (reason, len(trace)) == (STOP_DRIFT, steps)
 
 
 def test_alternate_error_tolerance_ignores_an_offset_of_the_values():
@@ -648,6 +650,20 @@ def test_translation_of_an_exact_step_is_the_latest_step(half_steps):
     assert allowance == 0.0
 
 
+def test_translation_at_an_ordinate_offset_allows_the_errors_rounding():
+    # values near 1e8 translate by a fixed step while the errors, formed
+    # from them, jitter by about 8 eps * 1e8 = 1.8e-7 between periods: far
+    # above AGREE_TOL, within the rounding slack of values of that size
+    c = 1e8
+    sides = [c + np.array([1.0, -2.0]) - 0.1 * j for j in range(6)]
+    jitter = 8 * np.finfo(float).eps * c
+    errors = [0.5, 1.0, 0.5, 1.0 + jitter, 0.5 - jitter]
+    kind, step, allowance = _extrapolate(history_of(sides, errors))
+    assert kind == "exact"
+    np.testing.assert_allclose(step, -0.2, rtol=0, atol=1e-7)
+    assert allowance == 0.0
+
+
 def shrinking_sides(rho, first_step, offset=0.0):
     """Two values per side, from (1, -2), that fall by a step shrinking by
     the square root of ``rho`` a half-step, so by ``rho`` a period, from
@@ -664,9 +680,10 @@ def shrinking_sides(rho, first_step, offset=0.0):
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_extrapolation_jumps_to_the_limit_of_a_geometric_run(rho, first_step, offset):
     # a geometric run extrapolates to its limit; steps near 1e-4 that shrink
-    # by 0.9 a period change by about 2e-6, far above AGREE_TOL times the
-    # sides' spread but below AGREE_TOL times values near 1e6, so the jump
-    # must not be refused at an offset.  The offset side's steps carry its
+    # by 0.9 a period change by about 2e-6, far above the step tolerance,
+    # which an offset of 1e6 raises only by its rounding slack (1.4e-8), but
+    # below AGREE_TOL times values near 1e6, so the jump must not be
+    # refused at an offset.  The offset side's steps carry its
     # rounding into the ratio, hence the looser tolerance there
     history = history_of(shrinking_sides(rho, first_step, offset), FALLING)
     kind, values, _ = _extrapolate(history)
@@ -678,7 +695,7 @@ def test_extrapolation_jumps_to_the_limit_of_a_geometric_run(rho, first_step, of
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 def test_extrapolation_makes_no_jump_along_a_step_that_has_not_shrunk(offset):
     # the step shrinks by rho = 1 - 1e-10 a period, so its change, about
-    # 2e-11, is within AGREE_TOL of the sides' spread: a translation, whose
+    # 2e-11, is within the step tolerance: a translation, whose
     # gain rho / (1 - rho) = 1e10 would carry the values about 2e9 away.  An
     # offset of one side moves the values' size, but not the refusal
     history = history_of(shrinking_sides(1 - 1e-10, 0.2, offset), FALLING)
